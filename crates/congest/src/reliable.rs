@@ -40,7 +40,7 @@ use crate::message::{BitSize, Payload};
 use crate::node::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 use crate::obsv::profile::{prof_record, prof_start, Profiler, Section};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -93,6 +93,13 @@ pub const RTO_CAP: usize = 8;
 /// up after a stall (arrivals beyond the stalled frame are buffered, so a
 /// repaired gap can release several virtual rounds at once).
 const MAX_CATCHUP: usize = 4;
+
+/// How far past the next needed frame a receiver buffers. A sender runs
+/// ahead of its receiver only by its window plus the frames it gave up,
+/// so a frame this far ahead can only be a corrupted header whose
+/// checksum collided. It is dropped rather than buffered, which also keeps
+/// a receive window from growing to a corrupted sequence number.
+const FAR_AHEAD: u32 = 1 << 16;
 
 impl<M: BitSize> BitSize for RMsg<M> {
     fn bit_size(&self) -> usize {
@@ -317,15 +324,24 @@ impl<M> SendLink<M> {
 }
 
 /// Receiver state for one incoming link.
+///
+/// The receive window is one `VecDeque` of bundle slots indexed by
+/// sequence number: slot `i` is frame `base + i`. Frames below
+/// `next_needed` are delivered in order and wait for the inner algorithm
+/// (`None`: skipped, delivered empty); frames from `next_needed` on are
+/// buffered out of order (`None`: not arrived yet). A slot holds the
+/// sender's `Arc` bundle itself, so an arrival copies no payload. The
+/// inner algorithm takes rounds in increasing order, and taking round `v`
+/// drops every slot before it, so the window spans only the frames in
+/// flight.
 #[derive(Debug, Clone)]
 struct RecvLink<M> {
     /// Lowest sequence number not yet received or skipped.
     next_needed: u32,
-    /// Out-of-order frames awaiting the gap in front of them.
-    buffer: BTreeMap<u32, Vec<M>>,
-    /// In-order bundles awaiting consumption by the inner algorithm,
-    /// keyed by virtual round.
-    delivered: BTreeMap<u32, Vec<M>>,
+    /// Sequence number of `slots[0]`; never above `next_needed`, and every
+    /// frame in `base..next_needed` has a slot.
+    base: u32,
+    slots: VecDeque<Option<Arc<Vec<M>>>>,
     /// Sequence number of the peer's final frame, once seen; frames past
     /// it resolve as empty without any wire traffic.
     fin_at: Option<u32>,
@@ -345,8 +361,8 @@ impl<M> RecvLink<M> {
     fn new() -> Self {
         RecvLink {
             next_needed: 1,
-            buffer: BTreeMap::new(),
-            delivered: BTreeMap::new(),
+            base: 1,
+            slots: VecDeque::new(),
             fin_at: None,
             blocked_rounds: 0,
             ack_dirty: false,
@@ -355,26 +371,92 @@ impl<M> RecvLink<M> {
         }
     }
 
-    /// Moves in-order buffered frames into the delivered map.
+    /// The bundle stored for frame `seq`, if any.
+    fn slot(&self, seq: u32) -> Option<&Arc<Vec<M>>> {
+        let i = seq.checked_sub(self.base)?;
+        self.slots.get(i as usize)?.as_ref()
+    }
+
+    /// Moves `next_needed` past the frames buffered in order behind it.
     fn advance(&mut self) -> bool {
-        let mut moved = false;
-        while let Some(bundle) = self.buffer.remove(&self.next_needed) {
-            self.delivered.insert(self.next_needed, bundle);
+        let start = self.next_needed;
+        while self.slot(self.next_needed).is_some() {
             self.next_needed += 1;
-            moved = true;
         }
-        moved
+        self.next_needed != start
     }
 
-    /// Whether the bundle for virtual round `v` is available (delivered,
-    /// past the peer's fin, or the link is dead — the latter two resolve
-    /// as empty).
+    /// Files a checksum-valid data frame. Returns `false` if it is stale:
+    /// the link is dead, or the frame was already delivered or skipped
+    /// (loss-sound — a skipped frame stays skipped). A duplicate of a
+    /// buffered frame keeps the first copy.
+    fn arrive(&mut self, seq: u32, fin: bool, payload: &Arc<Vec<M>>) -> bool {
+        if self.dead || seq < self.next_needed {
+            return false;
+        }
+        if fin {
+            self.fin_at = Some(self.fin_at.map_or(seq, |f| f.min(seq)));
+        }
+        if seq - self.next_needed >= FAR_AHEAD {
+            return true;
+        }
+        let i = (seq - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i].get_or_insert_with(|| Arc::clone(payload));
+        if self.advance() {
+            self.consecutive_skips = 0;
+        }
+        true
+    }
+
+    /// Receiver watchdog: gives up on the missing frame `next_needed`,
+    /// delivering it empty (losses only remove information). Two
+    /// consecutive skips declare the link dead.
+    fn skip(&mut self) {
+        if (self.next_needed - self.base) as usize == self.slots.len() {
+            self.slots.push_back(None);
+        }
+        self.next_needed += 1;
+        self.advance();
+        self.blocked_rounds = 0;
+        self.consecutive_skips += 1;
+        if self.consecutive_skips >= 2 {
+            self.dead = true;
+        }
+        self.ack_dirty = true;
+    }
+
+    /// Whether the bundle for virtual round `v` — the next one the inner
+    /// algorithm takes — is available: delivered, past the peer's fin, or
+    /// the link is dead (the latter two resolve as empty).
     fn ready(&self, v: u32) -> bool {
-        self.dead || self.delivered.contains_key(&v) || self.fin_at.is_some_and(|f| v > f)
+        self.dead || v < self.next_needed || self.fin_at.is_some_and(|f| v > f)
     }
 
-    fn take(&mut self, v: u32) -> Vec<M> {
-        self.delivered.remove(&v).unwrap_or_default()
+    /// Takes the bundle of virtual round `v` (`None`: empty). Rounds are
+    /// taken in increasing order, so the delivered slots before `v` are
+    /// dropped unread.
+    fn take(&mut self, v: u32) -> Option<Arc<Vec<M>>> {
+        while self.base < v.min(self.next_needed) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        if self.base == v && v < self.next_needed {
+            self.base += 1;
+            self.slots.pop_front().flatten()
+        } else {
+            None
+        }
+    }
+
+    /// Selective-ack bitmap: bit `i` set iff frame `next_needed + i` (the
+    /// ack's `cum + 1 + i`) is buffered.
+    fn sack(&self) -> u16 {
+        (0..MAX_WINDOW as u32)
+            .filter(|&i| self.slot(self.next_needed + i).is_some())
+            .fold(0, |sack, i| sack | 1 << i)
     }
 
     /// Whether nothing more is owed on this link: the peer's final frame
@@ -417,6 +499,16 @@ pub struct Reliable<A: NodeAlgorithm> {
     backoff_events: u64,
     given_up: u64,
     profiler: Option<Arc<Profiler>>,
+    /// The one empty bundle every empty frame of this node shares.
+    empty: Arc<Vec<A::Msg>>,
+    /// Per-round scratch, reused so a round allocates none of it: the
+    /// per-port bundles being queued, which ports carried data, the
+    /// virtual-step inbox, and the virtual-step context (the physical one
+    /// with the virtual round, built once at `init`).
+    bundles: Vec<Vec<A::Msg>>,
+    data_on: Vec<bool>,
+    vinbox: Vec<(u32, Payload<A::Msg>)>,
+    vctx: NodeContext,
 }
 
 impl<A: NodeAlgorithm> Reliable<A>
@@ -445,6 +537,17 @@ where
             backoff_events: 0,
             given_up: 0,
             profiler: None,
+            empty: Arc::new(Vec::new()),
+            bundles: Vec::new(),
+            data_on: Vec::new(),
+            vinbox: Vec::new(),
+            vctx: NodeContext {
+                index: 0,
+                id: 0,
+                neighbor_ids: Vec::new(),
+                n: 0,
+                round: 0,
+            },
         }
     }
 
@@ -514,25 +617,31 @@ where
     /// self-clocking).
     fn queue(&mut self, inner_out: Outbox<A::Msg>, seq: u32, fin: bool) {
         let ports = self.send.len();
-        let mut bundles: Vec<Vec<A::Msg>> = vec![Vec::new(); ports];
+        self.bundles.resize_with(ports, Vec::new);
         for og in inner_out {
             match og {
-                Outgoing::Unicast(p, m) => bundles[p as usize].push(m),
+                Outgoing::Unicast(p, m) => self.bundles[p as usize].push(m),
                 Outgoing::Broadcast(m) => {
-                    for b in bundles.iter_mut() {
+                    for b in self.bundles.iter_mut() {
                         b.push(m.clone());
                     }
                 }
             }
         }
-        for (p, payload) in bundles.into_iter().enumerate() {
+        for p in 0..ports {
+            let payload = std::mem::take(&mut self.bundles[p]);
             let check = data_check(seq, fin, &payload);
             let bits = DATA_HEADER_BITS + payload_bits(&payload);
+            let payload = if payload.is_empty() {
+                Arc::clone(&self.empty)
+            } else {
+                Arc::new(payload)
+            };
             self.send[p].frames.push_back(SendFrame {
                 seq,
                 fin,
                 check,
-                payload: Arc::new(payload),
+                payload,
                 bits,
                 attempt: 0,
                 sent_round: 0,
@@ -556,12 +665,7 @@ where
             let rl = &mut self.recv[p];
             if rl.ack_dirty && budget >= ACK_BITS {
                 let cum = rl.next_needed - 1;
-                let mut sack: u16 = 0;
-                for i in 0..MAX_WINDOW as u32 {
-                    if rl.buffer.contains_key(&(rl.next_needed + i)) {
-                        sack |= 1 << i;
-                    }
-                }
+                let sack = rl.sack();
                 out.push(Outgoing::Unicast(
                     p as u32,
                     RMsg::Ack {
@@ -698,6 +802,8 @@ where
             .collect();
         self.recv = (0..ports).map(|_| RecvLink::new()).collect();
         self.retrans_per_port = vec![0; ports];
+        self.data_on = vec![false; ports];
+        self.vctx = ctx.clone();
         self.inner_next = 1;
         let inner_out = self.inner.init(ctx, rng);
         let fin = self.inner.halted();
@@ -714,9 +820,8 @@ where
         rng: &mut ChaCha8Rng,
     ) -> Outbox<Self::Msg> {
         let round = ctx.round;
-        let ports = self.send.len();
         let mut arrived = false;
-        let mut data_on = vec![false; ports];
+        self.data_on.fill(false);
 
         // 1. Process arrivals: buffer checksum-valid data (acking
         //    duplicates too — our earlier ack may have been lost) and
@@ -737,24 +842,13 @@ where
                         continue;
                     }
                     arrived = true;
-                    data_on[*p] = true;
+                    self.data_on[*p] = true;
                     let rl = &mut self.recv[*p];
                     rl.ack_dirty = true;
-                    if rl.dead || *seq < rl.next_needed {
-                        // Stale or post-skip data: discard but ack, so the
-                        // sender stops retransmitting (loss-sound — a
-                        // skipped frame stays skipped).
+                    if !rl.arrive(*seq, *fin, payload) {
+                        // Stale or post-skip data: discarded but acked, so
+                        // the sender stops retransmitting.
                         self.saw_trouble = true;
-                        continue;
-                    }
-                    if *fin {
-                        rl.fin_at = Some(rl.fin_at.map_or(*seq, |f| f.min(*seq)));
-                    }
-                    rl.buffer
-                        .entry(*seq)
-                        .or_insert_with(|| payload.as_ref().clone());
-                    if rl.advance() {
-                        rl.consecutive_skips = 0;
                     }
                 }
                 RMsg::Ack { cum, sack, check } => {
@@ -798,19 +892,17 @@ where
         let mut steps = 0;
         while steps < MAX_CATCHUP
             && !self.inner.halted()
-            && (0..ports).all(|p| self.recv[p].ready(self.inner_next))
+            && self.recv.iter().all(|rl| rl.ready(self.inner_next))
         {
-            let mut vinbox: Vec<(u32, Payload<A::Msg>)> = Vec::new();
             for (p, rl) in self.recv.iter_mut().enumerate() {
-                for m in rl.take(self.inner_next) {
-                    vinbox.push((p as u32, Payload::Owned(m)));
+                if let Some(bundle) = rl.take(self.inner_next) {
+                    let msgs = bundle.iter().map(|m| (p as u32, Payload::Owned(m.clone())));
+                    self.vinbox.extend(msgs);
                 }
             }
-            let vctx = NodeContext {
-                round: self.inner_next as usize,
-                ..ctx.clone()
-            };
-            let inner_out = self.inner.on_round(&vctx, &vinbox, rng);
+            self.vctx.round = self.inner_next as usize;
+            let inner_out = self.inner.on_round(&self.vctx, &self.vinbox, rng);
+            self.vinbox.clear();
             let fin = self.inner.halted();
             let next = self.inner_next + 1;
             self.queue(inner_out, next, fin);
@@ -823,8 +915,7 @@ where
         //    empty — losses only remove information); two consecutive
         //    skips declare the link dead.
         if !self.inner.halted() {
-            for (p, &had_data) in data_on.iter().enumerate() {
-                let rl = &mut self.recv[p];
+            for (rl, &had_data) in self.recv.iter_mut().zip(&self.data_on) {
                 if rl.ready(self.inner_next) || had_data {
                     rl.blocked_rounds = 0;
                     continue;
@@ -836,15 +927,7 @@ where
                     self.cfg.give_up_after()
                 };
                 if rl.blocked_rounds >= patience {
-                    rl.delivered.insert(rl.next_needed, Vec::new());
-                    rl.next_needed += 1;
-                    rl.advance();
-                    rl.blocked_rounds = 0;
-                    rl.consecutive_skips += 1;
-                    if rl.consecutive_skips >= 2 {
-                        rl.dead = true;
-                    }
-                    rl.ack_dirty = true;
+                    rl.skip();
                     self.given_up += 1;
                     self.saw_trouble = true;
                 }
@@ -937,6 +1020,9 @@ where
         nodes.into_iter().map(Reliable::into_inner).collect(),
     ))
 }
+
+#[cfg(test)]
+mod window_referee;
 
 #[cfg(test)]
 mod tests {

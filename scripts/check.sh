@@ -121,6 +121,29 @@ RAYON_NUM_THREADS=1 cargo test -q -p congest --test sharding
 echo "==> sharding referee (RAYON_NUM_THREADS=4)"
 RAYON_NUM_THREADS=4 cargo test -q -p congest --test sharding
 
+# The fork-join pool's own tests (lane affinity, no lost wake-ups across
+# park/unpark, a caller's panic re-thrown only after its queued chunks,
+# an idle pool parking every worker) and the ARQ receive-window referee
+# (the VecDeque window against a BTreeMap reference model) must hold on
+# one, two and four lanes.
+for lanes in 1 2 4; do
+    echo "==> pool tests + receive-window referee (RAYON_NUM_THREADS=$lanes)"
+    RAYON_NUM_THREADS=$lanes cargo test -q -p rayon
+    RAYON_NUM_THREADS=$lanes cargo test -q -p congest --lib reliable::window_referee
+done
+
+# The ARQ receive path is a sequence-indexed VecDeque window holding the
+# sender's Arc bundles; the BTreeMap buffer/delivered maps it replaced
+# (and their per-arrival bundle copies) must not come back.
+echo "==> checking the BTreeMap receive path stays out of the ARQ"
+if grep -n 'BTreeMap' crates/congest/src/reliable.rs; then
+    echo "error: BTreeMap reintroduced in crates/congest/src/reliable.rs;" \
+         "the receive window is a VecDeque indexed by sequence number" >&2
+    status=1
+else
+    echo "    no BTreeMap in the ARQ transport"
+fi
+
 # The u32 id space is a hot-path invariant, not an assumption: builders
 # must refuse graphs whose vertex or directed-edge-slot counts would
 # overflow the packed ids the sharded engine routes on.
