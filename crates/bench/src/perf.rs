@@ -751,7 +751,8 @@ pub fn recorder_overhead_gate(entries: &[PerfEntry], max_pct: f64) -> GateOutcom
         let Some(bare) = entries.iter().find(|b| {
             b.experiment == "e1_even_cycle" && b.n == flight.n && b.threads == flight.threads
         }) else {
-            out.skipped.push(format!("{tag}: no bare e1 arm to compare"));
+            out.skipped
+                .push(format!("{tag}: no bare e1 arm to compare"));
             continue;
         };
         out.checked += 1;

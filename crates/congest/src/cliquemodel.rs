@@ -6,15 +6,19 @@
 //! knows its own adjacency row of the input graph. This is the model of the
 //! paper's `K_s`-listing bound (§1.1, Lemma 1.3).
 
+use crate::engine::Bandwidth;
+use crate::error::SimError;
+use crate::faults::FaultReport;
 use crate::message::BitSize;
 use crate::obsv::collect::{span_nanos, span_start, Collector, SimEvent};
-use crate::obsv::profile::{prof_record, prof_start, Profiler, Section};
+use crate::obsv::metrics::MetricsSnapshot;
+use crate::obsv::profile::{prof_record, prof_start, Section};
+use crate::simulation::{CliqueRun, Outcome, SimConfig};
 use crate::stats::RunStats;
 use graphlib::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use std::fmt;
 use std::sync::Arc;
 
 /// One node's outbox for a round: `(destination, message)` pairs. Node
@@ -61,54 +65,6 @@ pub trait CliqueAlgorithm: Send {
     fn output(&self) -> Self::Output;
 }
 
-/// Errors from the clique engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CliqueError {
-    /// A node exceeded the per-pair bandwidth in one round.
-    BandwidthExceeded {
-        /// Sender.
-        from: usize,
-        /// Receiver.
-        to: usize,
-        /// Bits attempted this round on that pair.
-        attempted: usize,
-        /// Configured limit.
-        limit: usize,
-        /// Round of the violation.
-        round: usize,
-    },
-    /// Message addressed outside `0..n` or to the sender itself.
-    InvalidDestination {
-        /// Sender.
-        from: usize,
-        /// Receiver.
-        to: usize,
-    },
-}
-
-impl fmt::Display for CliqueError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CliqueError::BandwidthExceeded {
-                from,
-                to,
-                attempted,
-                limit,
-                round,
-            } => write!(
-                f,
-                "clique bandwidth exceeded: {from}->{to} sent {attempted} bits \
-                 (limit {limit}) in round {round}"
-            ),
-            CliqueError::InvalidDestination { from, to } => {
-                write!(f, "invalid destination {to} from node {from}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CliqueError {}
-
 /// Statistics for a congested-clique run.
 #[derive(Debug, Clone)]
 pub struct CliqueStats {
@@ -122,81 +78,48 @@ pub struct CliqueStats {
     pub max_pair_round_bits: usize,
 }
 
-/// Result of a congested-clique run.
-#[derive(Debug)]
-pub struct CliqueOutcome<O> {
-    /// Per-node outputs.
-    pub outputs: Vec<O>,
-    /// Traffic statistics.
-    pub stats: CliqueStats,
-    /// Whether all nodes halted within the round limit.
-    pub completed: bool,
-}
-
-/// Congested-clique engine over an input graph.
-pub struct CliqueEngine<'g> {
-    input: &'g Graph,
+/// One congested-clique run over an input graph, with the run's
+/// [`SimConfig`] defaults resolved. Built by the
+/// [`Simulation`](crate::Simulation) builder, once per run.
+pub(crate) struct CliqueEngine<'a> {
+    input: &'a Graph,
+    cfg: &'a SimConfig,
+    /// The per-ordered-pair bound: the configured `Bandwidth::Bits(b)`,
+    /// else `ceil(log2 n)` (the builder rejects `Bandwidth::Unbounded`).
     bandwidth_bits: usize,
+    /// The round cap: the configured one, else `4 (n + 2)²`.
     max_rounds: usize,
-    seed: u64,
+    /// Every installed sink behind one handle. Clique events carry the
+    /// destination node index in the `port` field.
     collector: Option<Arc<dyn Collector>>,
-    profiler: Option<Arc<Profiler>>,
 }
 
-impl<'g> CliqueEngine<'g> {
-    /// Engine with `B = ceil(log2 n)` bits per ordered pair per round.
-    pub fn new(input: &'g Graph) -> Self {
+impl<'a> CliqueEngine<'a> {
+    /// Resolves the run's defaults against the `input` graph.
+    pub(crate) fn new(
+        input: &'a Graph,
+        cfg: &'a SimConfig,
+        collector: Option<Arc<dyn Collector>>,
+    ) -> Self {
+        let n = input.n();
         CliqueEngine {
-            bandwidth_bits: crate::message::bits_for_domain(input.n().max(2)),
-            max_rounds: 4 * (input.n() + 2) * (input.n() + 2),
-            seed: 0,
-            collector: None,
-            profiler: None,
             input,
+            cfg,
+            bandwidth_bits: match cfg.bandwidth {
+                Some(Bandwidth::Bits(b)) => b,
+                _ => crate::message::bits_for_domain(n.max(2)),
+            },
+            max_rounds: cfg.max_rounds.unwrap_or(4 * (n + 2) * (n + 2)),
+            collector,
         }
     }
 
-    /// Sets the per-pair bandwidth in bits.
-    pub fn bandwidth_bits(mut self, b: usize) -> Self {
-        self.bandwidth_bits = b;
-        self
-    }
-
-    /// Caps the number of rounds.
-    pub fn max_rounds(mut self, r: usize) -> Self {
-        self.max_rounds = r;
-        self
-    }
-
-    /// Seeds per-node RNG streams.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Installs a structured-event [`Collector`] (see [`crate::obsv`]).
-    /// Clique events carry the destination node index in the `port` field.
-    pub fn collector(mut self, c: Arc<dyn Collector>) -> Self {
-        self.collector = Some(c);
-        self
-    }
-
-    /// Installs the engine self-profiler (see [`crate::obsv::profile`]).
-    pub fn profiler(mut self, p: Arc<Profiler>) -> Self {
-        self.profiler = Some(p);
-        self
-    }
-
-    /// The round loop behind
-    /// [`Simulation::run_clique`](crate::Simulation::run_clique), the
-    /// single public entry point. Also builds a [`RunStats`] over the
-    /// complete topology (node `u`'s slot for destination `v` skips `u`
-    /// itself), so clique runs export the same per-round series and
-    /// congestion numbers CONGEST runs do.
-    pub(crate) fn run_impl<A, F>(
-        &self,
-        make: F,
-    ) -> Result<(CliqueOutcome<A::Output>, RunStats), CliqueError>
+    /// The round loop. Also builds a [`RunStats`] over the complete
+    /// topology (node `u`'s slot for destination `v` skips `u` itself), so
+    /// clique runs export the same per-round series and congestion numbers
+    /// CONGEST runs do. The returned outcome's metrics are left empty for
+    /// the builder to fill.
+    pub(crate) fn run<A, F>(&self, make: F) -> Result<CliqueRun<A::Output>, SimError>
     where
         A: CliqueAlgorithm,
         F: Fn(usize) -> A + Sync,
@@ -209,7 +132,7 @@ impl<'g> CliqueEngine<'g> {
         // collector asks for provenance; ids and events keep flowing.
         let provenance = collector.is_some_and(Collector::wants_provenance);
         let empty_deps: Arc<[u64]> = Arc::from([]);
-        let prof = self.profiler.as_deref();
+        let prof = self.cfg.profiler.as_deref();
         let rec = |ev: SimEvent| {
             if let Some(c) = collector {
                 c.record(&ev);
@@ -219,7 +142,7 @@ impl<'g> CliqueEngine<'g> {
             rec(SimEvent::Meta {
                 n,
                 bandwidth_bits: self.bandwidth_bits,
-                seed: self.seed,
+                seed: self.cfg.seed,
             });
         }
         let mut contexts: Vec<CliqueContext> = (0..n)
@@ -232,7 +155,7 @@ impl<'g> CliqueEngine<'g> {
             .collect();
         let mut rngs: Vec<ChaCha8Rng> = (0..n)
             .map(|v| {
-                let mut seeder = ChaCha8Rng::seed_from_u64(self.seed);
+                let mut seeder = ChaCha8Rng::seed_from_u64(self.cfg.seed);
                 let salt: u64 = seeder.gen::<u64>() ^ (v as u64).wrapping_mul(0xD1B54A32D192ED03);
                 ChaCha8Rng::seed_from_u64(salt)
             })
@@ -339,7 +262,7 @@ impl<'g> CliqueEngine<'g> {
                 for (idx, (to, m)) in outbox.iter().enumerate() {
                     let to = *to as usize;
                     if to >= n || to == from {
-                        return Err(CliqueError::InvalidDestination { from, to });
+                        return Err(SimError::InvalidDestination { from, to });
                     }
                     let w = to >> 6;
                     if seen_words[w] == 0 {
@@ -370,7 +293,7 @@ impl<'g> CliqueEngine<'g> {
                         let bits = dest_bits[to];
                         dest_bits[to] = 0;
                         if bits > self.bandwidth_bits {
-                            return Err(CliqueError::BandwidthExceeded {
+                            return Err(SimError::PairBandwidthExceeded {
                                 from,
                                 to,
                                 attempted: bits,
@@ -487,14 +410,23 @@ impl<'g> CliqueEngine<'g> {
             completed = nodes.iter().all(|nd| nd.halted());
         }
 
-        Ok((
-            CliqueOutcome {
-                outputs: nodes.iter().map(|nd| nd.output()).collect(),
-                stats,
+        // No fault layer on the clique: everything sent was delivered.
+        let faults = FaultReport {
+            delivered: traffic.total_messages,
+            ..FaultReport::default()
+        };
+        Ok(CliqueRun {
+            outputs: nodes.iter().map(|nd| nd.output()).collect(),
+            stats,
+            outcome: Outcome {
+                decisions: Vec::new(),
+                stats: traffic,
                 completed,
+                faults,
+                degraded: None,
+                metrics: MetricsSnapshot::default(),
             },
-            traffic,
-        ))
+        })
     }
 }
 
@@ -548,7 +480,7 @@ mod tests {
     fn degree_sum_counts_edges_twice() {
         let g = generators::cycle(6);
         let run = crate::simulation::Simulation::on(&g)
-            .bandwidth_bits(32)
+            .bandwidth(crate::Bandwidth::Bits(32))
             .run_clique(|_| DegreeSum {
                 acc: 0,
                 done: false,
@@ -573,16 +505,13 @@ mod tests {
     fn clique_bandwidth_enforced() {
         let g = generators::cycle(4);
         let err = crate::simulation::Simulation::on(&g)
-            .bandwidth_bits(8)
+            .bandwidth(crate::Bandwidth::Bits(8))
             .run_clique(|_| DegreeSum {
                 acc: 0,
                 done: false,
             })
             .unwrap_err();
-        assert!(matches!(
-            err.as_clique(),
-            Some(CliqueError::BandwidthExceeded { .. })
-        ));
+        assert!(matches!(err, SimError::PairBandwidthExceeded { .. }));
     }
 
     #[test]
@@ -611,9 +540,6 @@ mod tests {
         let err = crate::simulation::Simulation::on(&g)
             .run_clique(|_| SelfSender)
             .unwrap_err();
-        assert!(matches!(
-            err.as_clique(),
-            Some(CliqueError::InvalidDestination { .. })
-        ));
+        assert!(matches!(err, SimError::InvalidDestination { .. }));
     }
 }

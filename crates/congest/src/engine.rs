@@ -17,25 +17,28 @@
 //! `msg_id` (in node order, at accounting time) and stamps each send with
 //! the ids delivered to its sender one round earlier — the causal
 //! provenance that makes the trace a happens-before DAG (see
-//! [`crate::obsv::collect`]). An optional [`Profiler`] adds wall-clock
-//! spans around the accounting/staging/delivery/compute sections; with
-//! none installed each section costs one branch per round.
+//! [`crate::obsv::collect`]). An optional
+//! [`Profiler`](crate::obsv::Profiler) adds wall-clock spans around the
+//! accounting/staging/delivery/compute sections; with none installed each
+//! section costs one branch per round.
 //!
-//! The [`Simulation`](crate::Simulation) builder is the public entry point;
-//! it fronts this engine, the reliable transport, and the clique backend
-//! behind one API.
+//! The engine itself is crate-private: the [`Simulation`](crate::Simulation)
+//! builder is the one way to configure and run it, and it returns the
+//! unified [`Outcome`].
 
-use crate::faults::{Delivery, DeliveryCtx, FaultModel, FaultReport, FaultSpec};
+use crate::error::SimError;
+use crate::faults::{Delivery, DeliveryCtx, FaultModel, FaultReport};
 use crate::message::{BitSize, Payload};
-use crate::node::{Decision, NodeAlgorithm, NodeContext, Outbox, Outgoing};
+use crate::node::{NodeAlgorithm, NodeContext, Outbox, Outgoing};
 use crate::obsv::collect::{span_nanos, span_start, Collector, SimEvent};
-use crate::obsv::profile::{prof_record, prof_start, Profiler, Section};
+use crate::obsv::metrics::MetricsSnapshot;
+use crate::obsv::profile::{prof_record, prof_start, Section};
+use crate::simulation::{Outcome, SimConfig};
 use crate::stats::RunStats;
 use graphlib::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use std::fmt;
 use std::sync::Arc;
 
 /// One shard of the sharded round engine: a contiguous node range with its
@@ -131,7 +134,7 @@ struct Shard<M> {
     acct_max: usize,
     /// First error this shard's accounting hit (the merge keeps only the
     /// lowest shard's, which is the lowest node's).
-    acct_err: Option<CongestError>,
+    acct_err: Option<SimError>,
 }
 
 /// A unicast crossing (or staying inside) a shard boundary: `(receiver,
@@ -558,183 +561,11 @@ impl Bandwidth {
     }
 }
 
-/// Errors the engine can surface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CongestError {
-    /// A node tried to push more bits through an edge than the bandwidth
-    /// allows in one round.
-    BandwidthExceeded {
-        /// Sending node index.
-        node: usize,
-        /// Port the violation happened on.
-        port: usize,
-        /// Bits the node attempted to send this round on that port.
-        attempted: usize,
-        /// The configured limit.
-        limit: usize,
-        /// The round of the violation.
-        round: usize,
-    },
-    /// A node addressed a port it does not have.
-    InvalidPort {
-        /// Sending node index.
-        node: usize,
-        /// The bad port.
-        port: usize,
-        /// The node's degree.
-        degree: usize,
-    },
-    /// A node unicast a message while the engine runs in broadcast-CONGEST
-    /// mode (the model variant of \[DKO14\] where every node must send the
-    /// same message on all of its edges).
-    UnicastForbidden {
-        /// Sending node index.
-        node: usize,
-        /// The round of the violation.
-        round: usize,
-    },
-}
-
-impl fmt::Display for CongestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CongestError::BandwidthExceeded {
-                node,
-                port,
-                attempted,
-                limit,
-                round,
-            } => write!(
-                f,
-                "bandwidth exceeded: node {node} port {port} sent {attempted} bits \
-                 (limit {limit}) in round {round}"
-            ),
-            CongestError::InvalidPort { node, port, degree } => {
-                write!(f, "invalid port {port} on node {node} (degree {degree})")
-            }
-            CongestError::UnicastForbidden { node, round } => {
-                write!(
-                    f,
-                    "node {node} unicast in round {round} under broadcast-CONGEST"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CongestError {}
-
-/// Graceful-degradation verdict for a run that did not go perfectly:
-/// the round-budget watchdog tripped (`max_rounds` hit), the transport
-/// gave frames up, or nodes crashed. The decision is still usable — it
-/// covers the *surviving* subgraph and stays loss-sound (faults only
-/// remove information) — but the caller should know how much of the
-/// network it speaks for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Degraded {
-    /// Nodes that never crashed, in index order.
-    pub surviving: Vec<usize>,
-    /// Rough quality estimate in `[0, 1]`: the surviving-node fraction
-    /// times the fraction of fault-layer deliveries that succeeded.
-    pub confidence: f64,
-}
-
-impl Degraded {
-    /// Whether a strict majority of the `n` nodes survived — the quorum
-    /// under which a surviving-subgraph decision is conventionally
-    /// considered representative.
-    pub fn has_quorum(&self, n: usize) -> bool {
-        2 * self.surviving.len() > n
-    }
-}
-
-/// Result of a completed (or round-limited) run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Per-node decisions at the end of the run.
-    pub decisions: Vec<Decision>,
-    /// Traffic and round statistics.
-    pub stats: RunStats,
-    /// Whether every live node halted before the round limit (crashed nodes
-    /// count as halted — they can never halt voluntarily).
-    pub completed: bool,
-    /// What the fault layer did to this run (all-zeros for fault-free runs).
-    pub faults: FaultReport,
-    /// `Some` when the run degraded instead of completing cleanly (round
-    /// budget exhausted, transport give-ups, or crashed nodes); the
-    /// decisions then cover the surviving subgraph only.
-    pub degraded: Option<Degraded>,
-}
-
-impl RunOutcome {
-    /// Whether this run degraded (see [`Degraded`]).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
-    }
-
-    /// (Re-)derives the degradation verdict from the current fault report
-    /// and completion flag, for a network of `n` nodes. Called by the
-    /// engine at the end of every run and again by the reliable transport
-    /// after folding its give-up tallies in.
-    pub(crate) fn assess_degradation(&mut self, n: usize) {
-        let crashed = self.faults.crashed_nodes();
-        if self.completed && crashed.is_empty() && self.faults.given_up == 0 {
-            self.degraded = None;
-            return;
-        }
-        let surviving: Vec<usize> = (0..n)
-            .filter(|v| crashed.binary_search(v).is_err())
-            .collect();
-        let surviving_frac = if n == 0 {
-            1.0
-        } else {
-            surviving.len() as f64 / n as f64
-        };
-        let attempts = self.faults.delivered + self.faults.dropped;
-        let delivered_frac = if attempts == 0 {
-            1.0
-        } else {
-            self.faults.delivered as f64 / attempts as f64
-        };
-        self.degraded = Some(Degraded {
-            surviving,
-            confidence: surviving_frac * delivered_frac,
-        });
-    }
-    /// Definition 1 semantics: the network "detects H" iff some node rejects.
-    pub fn network_rejects(&self) -> bool {
-        self.decisions.contains(&Decision::Reject)
-    }
-
-    /// Convenience inverse of [`Self::network_rejects`].
-    pub fn network_accepts(&self) -> bool {
-        !self.network_rejects()
-    }
-
-    /// Whether the run was cut off by the engine's round limit rather than
-    /// halting cleanly — the explicit negation of [`Self::completed`], so
-    /// callers distinguish "all nodes halted" from "the simulation gave up".
-    pub fn hit_round_limit(&self) -> bool {
-        !self.completed
-    }
-
-    /// Whether some node that never crashed rejects. Under crash faults
-    /// this is the meaningful detection signal: a crashed node's last
-    /// decision is frozen pre-crash state, not an output of the protocol.
-    pub fn surviving_node_rejects(&self) -> bool {
-        let crashed = self.faults.crashed_nodes();
-        self.decisions
-            .iter()
-            .enumerate()
-            .any(|(v, d)| *d == Decision::Reject && crashed.binary_search(&v).is_err())
-    }
-}
-
-/// Staged, topology-only routing state: everything `run_nodes_impl` would
-/// otherwise recompute per run that depends only on `(graph, shards knob)`.
-/// [`Prepared`](crate::Prepared) builds one behind an `Arc` and replays it
-/// across a batch; a plan built inline for a one-shot run is bit-for-bit the
-/// same, so staging never changes results.
+/// Staged, topology-only routing state: everything a run would otherwise
+/// recompute that depends only on `(graph, shards knob)`.
+/// [`Prepared`](crate::Prepared) builds one and replays it across a batch;
+/// a plan built for a one-shot run is bit-for-bit the same, so staging
+/// never changes results.
 #[derive(Debug)]
 pub(crate) struct EnginePlan {
     /// Shard boundaries: `starts[k] = k·n/S`, length `S + 1`.
@@ -774,224 +605,56 @@ impl EnginePlan {
     }
 }
 
-/// Simulator configuration for one topology.
-pub struct Engine<'g> {
-    topology: &'g Graph,
-    ids: Arc<[u64]>,
-    /// Pre-staged routing plan (see [`EnginePlan`]); built inline when
-    /// absent.
-    plan: Option<Arc<EnginePlan>>,
-    bandwidth: Bandwidth,
+/// One CONGEST run: the topology, its routing plan, and the run's
+/// [`SimConfig`] with its defaults resolved. Built by the
+/// [`Simulation`](crate::Simulation) builder, once per run.
+pub(crate) struct Engine<'a> {
+    topology: &'a Graph,
+    plan: &'a EnginePlan,
+    /// The run's configuration, read directly; seed, faults, ids, shards,
+    /// fusion, early termination, broadcast-only mode and the profiler
+    /// all come from here.
+    pub(crate) cfg: &'a SimConfig,
+    /// The per-edge bound: the configured one, else `Θ(log n)`.
+    pub(crate) bandwidth: Bandwidth,
+    /// The round cap: the configured one, else `16 (n + 2)²`.
     max_rounds: usize,
-    seed: u64,
-    broadcast_only: bool,
-    collector: Option<Arc<dyn Collector>>,
-    profiler: Option<Arc<Profiler>>,
-    /// Fault configuration applied to every run (see [`crate::faults`]).
-    /// Bits are still charged for lost messages (they were sent); only
-    /// delivery fails.
-    faults: FaultSpec,
-    /// Shard count for the sharded round engine; `0` (the default) uses
-    /// one shard per rayon worker thread. See `Shard`.
-    shards: usize,
-    /// Whether rounds run through the fused single-sweep body (the
-    /// default) or the pre-fusion three-pass reference path. Both produce
-    /// byte-identical outcomes; the reference path exists as the oracle
-    /// for the fused-pass referee tests and as the "before" side of the
-    /// profiler comparison.
-    fused: bool,
-    /// Causal early termination (off by default): when nothing is in
-    /// flight and every live node reports [`NodeAlgorithm::quiescent`],
-    /// the remaining rounds of the run are skipped.
-    early_termination: bool,
+    /// Every installed sink (user collector, flight recorder, compute
+    /// timer) behind one handle; `None` means no event is even built.
+    pub(crate) collector: Option<Arc<dyn Collector>>,
 }
 
-impl<'g> Engine<'g> {
-    /// An engine over `topology` with identifiers `id(v) = v`, bandwidth
-    /// `Θ(log n)`, and a generous default round limit.
-    pub fn new(topology: &'g Graph) -> Self {
+impl<'a> Engine<'a> {
+    /// Resolves the run's defaults against `topology`. The caller
+    /// guarantees `plan` was built by [`EnginePlan::build`] for this
+    /// topology and `cfg`'s shard knob, and that `cfg` passed validation.
+    pub(crate) fn new(
+        topology: &'a Graph,
+        plan: &'a EnginePlan,
+        cfg: &'a SimConfig,
+        collector: Option<Arc<dyn Collector>>,
+    ) -> Self {
+        let n = topology.n();
         Engine {
-            ids: (0..topology.n() as u64).collect(),
-            plan: None,
-            bandwidth: Bandwidth::log_of(topology.n()),
-            max_rounds: 16 * (topology.n() + 2) * (topology.n() + 2),
-            seed: 0,
-            broadcast_only: false,
-            collector: None,
-            profiler: None,
-            faults: FaultSpec::None,
-            shards: 0,
-            fused: true,
-            early_termination: false,
             topology,
+            plan,
+            cfg,
+            bandwidth: cfg.bandwidth.unwrap_or_else(|| Bandwidth::log_of(n)),
+            max_rounds: cfg.max_rounds.unwrap_or(16 * (n + 2) * (n + 2)),
+            collector,
         }
     }
 
-    /// Selects the round-body implementation: `true` (the default) runs
-    /// the fused single-sweep pass (account + stage in one outbox drain,
-    /// then delivery, under one `profile.fused_nanos` span); `false` runs
-    /// the pre-fusion three-pass reference (separate account/stage/deliver
-    /// sweeps and spans). Outcomes, traces, and fault streams are
-    /// byte-identical either way — the reference path is kept as the
-    /// oracle the fused-pass referee tests compare against.
-    pub fn fused(mut self, on: bool) -> Self {
-        self.fused = on;
-        self
-    }
-
-    /// Enables causal early termination: once no message is in flight and
-    /// every non-crashed node reports [`NodeAlgorithm::quiescent`] (it
-    /// will never send again nor change its decision on empty input), the
-    /// engine skips the remaining rounds instead of clock-ticking to the
-    /// round limit. Decisions are unchanged; executed-round counts and the
-    /// per-round stat/fault series reflect the truncated run, and any
-    /// fault schedule past the truncation point (e.g. late crashes) never
-    /// fires. Off by default; intended for fault-free performance runs.
-    pub fn early_termination(mut self, on: bool) -> Self {
-        self.early_termination = on;
-        self
-    }
-
-    /// Sets the shard count of the sharded round engine (`0`, the default,
-    /// uses one shard per rayon worker thread; the count is clamped to
-    /// `1..=n`). Sharding is purely an execution-layout knob: decisions,
-    /// stats, fault streams, and traces are byte-identical at any shard
-    /// count and any thread count (see the engine's `Shard` internals).
-    pub fn shards(mut self, s: usize) -> Self {
-        self.shards = s;
-        self
-    }
-
-    /// Injects failures: each message delivery is independently lost with
-    /// probability `p` (deterministic given the engine seed). Senders are
-    /// still charged for the bits. Randomized detectors must stay *sound*
-    /// under loss (they can only miss, never hallucinate, a subgraph).
-    ///
-    /// Sugar for `faults(FaultSpec::IndependentLoss(p))`; existing seeded
-    /// runs replay unchanged because the loss hash is keyed identically.
-    pub fn loss_rate(self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss rate must be a probability");
-        if p == 0.0 {
-            self.faults(FaultSpec::None)
-        } else {
-            self.faults(FaultSpec::IndependentLoss(p))
-        }
-    }
-
-    /// Installs a fault model (loss, bursty loss, crashes, link outages,
-    /// payload corruption, or a stack of them — see [`crate::faults`]).
-    /// Each run builds a fresh model from this spec, so repeated runs of the
-    /// same engine stay independent and seed-reproducible.
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = spec;
-        self
-    }
-
-    /// Attaches a bounded message trace (see [`crate::trace`]). Sugar for
-    /// installing the buffer as the run's [`Collector`].
-    pub fn trace(self, buf: crate::trace::TraceBuffer) -> Self {
-        self.collector(Arc::new(buf))
-    }
-
-    /// Installs a structured-event [`Collector`] (see [`crate::obsv`]).
-    /// With none installed, instrumentation costs nothing.
-    pub fn collector(mut self, c: Arc<dyn Collector>) -> Self {
-        self.collector = Some(c);
-        self
-    }
-
-    /// The installed collector, for sibling layers (the reliable transport
-    /// emits its end-of-run summary through it).
-    pub(crate) fn collector_handle(&self) -> Option<&dyn Collector> {
-        self.collector.as_deref()
-    }
-
-    /// Installs the engine self-profiler (see [`crate::obsv::profile`]).
-    /// Off by default; the disabled path is one branch per hot section per
-    /// round.
-    pub fn profiler(mut self, p: Arc<Profiler>) -> Self {
-        self.profiler = Some(p);
-        self
-    }
-
-    /// The installed profiler, for the reliable transport's ARQ spans.
-    pub(crate) fn profiler_handle(&self) -> Option<&Arc<Profiler>> {
-        self.profiler.as_ref()
-    }
-
-    /// The engine seed, for sibling layers deriving deterministic
-    /// randomness (the reliable transport's retransmission jitter).
-    pub(crate) fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
-    /// The per-edge-per-round bit budget, if bounded — what the reliable
-    /// transport's batched send pass packs against.
-    pub(crate) fn bandwidth_limit(&self) -> Option<usize> {
-        match self.bandwidth {
-            Bandwidth::Bits(b) => Some(b),
-            Bandwidth::Unbounded => None,
-        }
-    }
-
-    /// Switches to broadcast-CONGEST (the \[DKO14\] variant the paper's
-    /// related-work section discusses): nodes must send the same message on
-    /// all edges, so any `Outgoing::Unicast` is rejected.
-    pub fn broadcast_only(mut self, on: bool) -> Self {
-        self.broadcast_only = on;
-        self
-    }
-
-    /// Sets the per-edge bandwidth.
-    pub fn bandwidth(mut self, b: Bandwidth) -> Self {
-        self.bandwidth = b;
-        self
-    }
-
-    /// Sets the identifier assignment (must be `n` values).
-    pub fn with_ids(mut self, ids: Vec<u64>) -> Self {
-        assert_eq!(ids.len(), self.topology.n());
-        self.ids = ids.into();
-        self
-    }
-
-    /// Shares an identifier assignment already behind an `Arc` (the batched
-    /// [`Prepared`](crate::Prepared) path — no per-run copy).
-    pub(crate) fn with_ids_arc(mut self, ids: Arc<[u64]>) -> Self {
-        assert_eq!(ids.len(), self.topology.n());
-        self.ids = ids;
-        self
-    }
-
-    /// Installs a staged routing plan. The caller guarantees it was built
-    /// by [`EnginePlan::build`] for this exact topology and shards knob.
-    pub(crate) fn with_plan(mut self, plan: Arc<EnginePlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-
-    /// Caps the number of communication rounds.
-    pub fn max_rounds(mut self, r: usize) -> Self {
-        self.max_rounds = r;
-        self
-    }
-
-    /// Seeds all node RNGs (each node gets an independent stream derived
-    /// from this seed and its index).
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// The actual round loop behind [`Simulation`](crate::Simulation), the
-    /// single public entry point.
-    pub(crate) fn run_nodes_impl<A, F>(&self, make: F) -> Result<(RunOutcome, Vec<A>), CongestError>
+    /// The round loop. Node `v`'s identifier is `cfg.ids[v]`, or `v` when
+    /// no assignment was configured.
+    pub(crate) fn run<A, F>(&self, make: F) -> Result<(Outcome, Vec<A>), SimError>
     where
         A: NodeAlgorithm,
         F: Fn(usize) -> A + Sync,
     {
         let g = self.topology;
         let n = g.n();
+        let cfg = self.cfg;
         let mut stats = RunStats::new(g);
         let collector = self.collector.as_deref();
         let tracing = collector.is_some();
@@ -1009,31 +672,20 @@ impl<'g> Engine<'g> {
             }
         };
 
-        // Shard layout + reverse-port table: staged by `Prepared` across a
-        // batch, or built inline for a one-shot run — identical either way
-        // (see [`EnginePlan`]). Any shard count is observationally identical
-        // (see [`Shard`]); it only changes the parallel grain.
-        let built_plan;
-        let plan: &EnginePlan = match &self.plan {
-            Some(p) => p,
-            None => {
-                built_plan = EnginePlan::build(g, self.shards);
-                &built_plan
-            }
-        };
+        // Shard layout + reverse-port table (see [`EnginePlan`]). Any shard
+        // count is observationally identical (see [`Shard`]); it only
+        // changes the parallel grain.
+        let plan = self.plan;
         let nshards = plan.nshards();
         let starts: &[u32] = &plan.starts;
         let rev_port: &[u32] = &plan.rev_port;
 
+        let id = |v: usize| cfg.ids.as_deref().map_or(v as u64, |ids| ids[v]);
         let mut contexts: Vec<NodeContext> = (0..n)
             .map(|v| NodeContext {
                 index: v,
-                id: self.ids[v],
-                neighbor_ids: g
-                    .neighbors(v)
-                    .iter()
-                    .map(|&u| self.ids[u as usize])
-                    .collect(),
+                id: id(v),
+                neighbor_ids: g.neighbors(v).iter().map(|&u| id(u as usize)).collect(),
                 n,
                 round: 0,
             })
@@ -1041,7 +693,7 @@ impl<'g> Engine<'g> {
 
         let mut rngs: Vec<ChaCha8Rng> = (0..n)
             .map(|v| {
-                let mut seeder = ChaCha8Rng::seed_from_u64(self.seed);
+                let mut seeder = ChaCha8Rng::seed_from_u64(cfg.seed);
                 let salt: u64 = seeder.gen::<u64>() ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15);
                 ChaCha8Rng::seed_from_u64(salt)
             })
@@ -1051,13 +703,13 @@ impl<'g> Engine<'g> {
 
         // Fresh fault model per run: stateful models (Markov chains, crash
         // schedules) re-derive everything from (topology, seed).
-        let mut model = self.faults.build();
-        model.reset(g, self.seed);
+        let mut model = cfg.faults.build();
+        model.reset(g, cfg.seed);
         let mut report = FaultReport::default();
         // crashed[v] = round v crashed at; crash-stop, so never cleared.
         let mut crashed: Vec<Option<usize>> = vec![None; n];
 
-        let prof = self.profiler.as_deref();
+        let prof = cfg.profiler.as_deref();
 
         // Run header so the trace is self-describing (the invariant
         // checker reads the bandwidth bound and node count from it).
@@ -1068,7 +720,7 @@ impl<'g> Engine<'g> {
                     Bandwidth::Bits(b) => b,
                     Bandwidth::Unbounded => 0,
                 },
-                seed: self.seed,
+                seed: cfg.seed,
             });
         }
 
@@ -1166,7 +818,7 @@ impl<'g> Engine<'g> {
                 // deliver nothing and change nothing — skip them. Checked
                 // only on all-idle rounds, so the scan runs exactly where
                 // it can pay for itself.
-                if self.early_termination {
+                if cfg.early_termination {
                     let blocker = (et_cursor..n)
                         .chain(0..et_cursor)
                         .find(|&v| crashed[v].is_none() && !nodes[v].quiescent());
@@ -1185,7 +837,7 @@ impl<'g> Engine<'g> {
             // accounting, so crashed nodes are charged no bits.
             model.begin_round(round);
             for (v, slot) in crashed.iter_mut().enumerate() {
-                if slot.is_none() && model.crashed(v, round, self.seed) {
+                if slot.is_none() && model.crashed(v, round, cfg.seed) {
                     *slot = Some(round);
                     if !outboxes[v].is_empty() {
                         outbox_nonempty -= 1;
@@ -1217,7 +869,7 @@ impl<'g> Engine<'g> {
             // runs the original separate account and stage passes.
             let before_bits = stats.total_bits;
             let before_msgs = stats.total_messages;
-            let (prof_fused, prof_legacy) = if self.fused {
+            let (prof_fused, prof_legacy) = if cfg.fused {
                 (prof, None)
             } else {
                 (None, prof)
@@ -1229,7 +881,7 @@ impl<'g> Engine<'g> {
                 // headers, and the shard `acct_*` fields still hold the
                 // last busy round's already-merged values — skip both the
                 // send passes and the merge below.
-            } else if self.fused {
+            } else if cfg.fused {
                 // Fused account+stage: one parallel sweep per source shard
                 // drains each sender's outbox, charging bits, buffering
                 // `Send` events, and moving payloads into the mailboxes /
@@ -1339,7 +991,7 @@ impl<'g> Engine<'g> {
             stats.per_round_messages.push(round_msgs);
             stats.rounds = round;
 
-            if outbox_nonempty > 0 && !self.fused {
+            if outbox_nonempty > 0 && !cfg.fused {
                 // Reference path, pass 2/3: stage this round's sends
                 // shard-parallel, draining the outboxes: unicast payloads
                 // move (no copy) into the per-(src, dst) mailboxes; each
@@ -1440,7 +1092,7 @@ impl<'g> Engine<'g> {
                                 tracing,
                                 provenance,
                                 round,
-                                self.seed,
+                                cfg.seed,
                             );
                         });
                 }
@@ -1547,12 +1199,13 @@ impl<'g> Engine<'g> {
                 .all(|(nd, down)| nd.halted() || down.is_some());
         }
 
-        let mut outcome = RunOutcome {
+        let mut outcome = Outcome {
             decisions: nodes.iter().map(|nd| nd.decision()).collect(),
             stats,
             completed,
             faults: report,
             degraded: None,
+            metrics: MetricsSnapshot::default(),
         };
         outcome.assess_degradation(n);
         Ok((outcome, nodes))
@@ -1581,6 +1234,7 @@ impl<'g> Engine<'g> {
         id_base: &[u64],
     ) {
         let g = self.topology;
+        let broadcast_only = self.cfg.broadcast_only;
         // Destructure for disjoint field borrows: `port_bits` scratch and
         // `prev_ids` are read while the `acct_*` outputs are written.
         let Shard {
@@ -1629,12 +1283,12 @@ impl<'g> Engine<'g> {
             for (idx, out) in outbox.iter().enumerate() {
                 match out {
                     Outgoing::Unicast(p, m) => {
-                        if self.broadcast_only {
-                            *acct_err = Some(CongestError::UnicastForbidden { node: v, round });
+                        if broadcast_only {
+                            *acct_err = Some(SimError::UnicastForbidden { node: v, round });
                             return;
                         }
                         if *p as usize >= deg {
-                            *acct_err = Some(CongestError::InvalidPort {
+                            *acct_err = Some(SimError::InvalidPort {
                                 node: v,
                                 port: *p as usize,
                                 degree: deg,
@@ -1676,7 +1330,7 @@ impl<'g> Engine<'g> {
             for (p, &bits) in port_bits.iter().enumerate() {
                 if let Bandwidth::Bits(limit) = self.bandwidth {
                     if bits > limit as u64 {
-                        *acct_err = Some(CongestError::BandwidthExceeded {
+                        *acct_err = Some(SimError::BandwidthExceeded {
                             node: v,
                             port: p,
                             attempted: bits as usize,
@@ -1732,6 +1386,7 @@ impl<'g> Engine<'g> {
         id_base: &[u64],
     ) -> usize {
         let g = self.topology;
+        let broadcast_only = self.cfg.broadcast_only;
         let limit = match self.bandwidth {
             Bandwidth::Bits(b) => Some(b as u64),
             Bandwidth::Unbounded => None,
@@ -1784,13 +1439,13 @@ impl<'g> Engine<'g> {
             for (idx, out) in outbox.drain(..).enumerate() {
                 match out {
                     Outgoing::Unicast(p, m) => {
-                        if self.broadcast_only {
-                            *acct_err = Some(CongestError::UnicastForbidden { node: v, round });
+                        if broadcast_only {
+                            *acct_err = Some(SimError::UnicastForbidden { node: v, round });
                             return staged;
                         }
                         let p = p as usize;
                         if p >= deg {
-                            *acct_err = Some(CongestError::InvalidPort {
+                            *acct_err = Some(SimError::InvalidPort {
                                 node: v,
                                 port: p,
                                 degree: deg,
@@ -1849,7 +1504,7 @@ impl<'g> Engine<'g> {
                 if deg > 0 {
                     if let Some(limit) = limit {
                         if bcast_bits > limit {
-                            *acct_err = Some(CongestError::BandwidthExceeded {
+                            *acct_err = Some(SimError::BandwidthExceeded {
                                 node: v,
                                 port: 0,
                                 attempted: bcast_bits as usize,
@@ -1870,7 +1525,7 @@ impl<'g> Engine<'g> {
                     let total = pb + bcast_bits;
                     if let Some(limit) = limit {
                         if total > limit {
-                            *acct_err = Some(CongestError::BandwidthExceeded {
+                            *acct_err = Some(SimError::BandwidthExceeded {
                                 node: v,
                                 port: p,
                                 attempted: total as usize,
@@ -1897,10 +1552,10 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::SimError;
-    use crate::node::Inbox;
+    use crate::faults::FaultSpec;
+    use crate::node::{Decision, Inbox};
+    use crate::obsv::{EventLog, JsonlTrace};
     use crate::simulation::Simulation;
-    use crate::trace::TraceKind;
     use graphlib::generators;
 
     /// Flood: every node broadcasts its id once; after one round, each node
@@ -1985,9 +1640,9 @@ mod tests {
             .run(|_| flood())
             .unwrap_err();
         match err {
-            SimError::Congest(CongestError::BandwidthExceeded {
+            SimError::BandwidthExceeded {
                 attempted, limit, ..
-            }) => {
+            } => {
                 assert_eq!(attempted, 64);
                 assert_eq!(limit, 8);
             }
@@ -2176,57 +1831,69 @@ mod tests {
     #[test]
     fn trace_captures_sends() {
         let g = generators::cycle(3);
-        let buf = crate::trace::TraceBuffer::new(100);
+        let log = Arc::new(EventLog::new());
         let out = Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(64))
-            .collector(buf.clone())
+            .collector_arc(log.clone())
             .run(|_| flood())
             .unwrap();
         assert!(out.completed);
-        // Three broadcasts, one trace event each.
-        let evs = buf.events();
-        assert_eq!(evs.len(), 3);
-        assert!(evs
-            .iter()
-            .all(|e| e.port == usize::MAX && e.bits == 64 && e.kind == TraceKind::Send));
-        assert!(buf.summary().contains("3 sends"));
+        // Three broadcasts, one send event each.
+        let sends: Vec<_> = log
+            .snapshot()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                SimEvent::Send {
+                    round, port, bits, ..
+                } => Some((round, port, bits)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sends, vec![(1, usize::MAX, 64); 3]);
     }
 
     #[test]
-    fn trace_buffer_overflows_gracefully_under_fault_load() {
-        // A 2-event buffer on a clique flood with heavy loss: the engine
-        // emits far more Send + Drop events than fit, and the buffer must
-        // cap its memory while still counting the overflow.
+    fn bounded_trace_overflows_gracefully_under_fault_load() {
+        // A 2-line trace on a clique flood with heavy loss: the engine
+        // emits far more events than fit, and the trace must cap its
+        // memory while still counting the overflow.
         let g = generators::clique(5);
-        let buf = crate::trace::TraceBuffer::new(2);
+        let trace = Arc::new(JsonlTrace::new(2));
         let out = Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(64))
             .faults(FaultSpec::IndependentLoss(0.5))
             .seed(3)
-            .collector(buf.clone())
+            .collector_arc(trace.clone())
             .run(|_| flood())
             .unwrap();
         assert!(out.faults.dropped > 0, "the loss model should have fired");
-        assert_eq!(buf.events().len(), 2);
-        assert!(buf.dropped() > 0);
-        assert!(buf.summary().contains("dropped events"));
+        assert_eq!(trace.len(), 2);
+        assert!(trace.dropped() > 0);
+        assert_eq!(
+            out.metrics.counter("trace.dropped_events"),
+            Some(trace.dropped())
+        );
     }
 
     #[test]
     fn drop_events_are_traced_with_kind() {
         let g = generators::path(2);
-        let buf = crate::trace::TraceBuffer::new(100);
+        let log = Arc::new(EventLog::new());
         let out = Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(64))
             .faults(FaultSpec::IndependentLoss(1.0))
-            .collector(buf.clone())
+            .collector_arc(log.clone())
             .max_rounds(3)
             .run(|_| flood())
             .unwrap();
         assert_eq!(out.faults.delivered, 0);
-        let drops = buf.events_of(TraceKind::Drop);
-        assert_eq!(drops.len(), out.faults.dropped as usize);
-        assert!(!drops.is_empty());
+        let drops = log
+            .snapshot()
+            .iter()
+            .filter(|ev| matches!(ev, SimEvent::Drop { .. }))
+            .count();
+        assert_eq!(drops, out.faults.dropped as usize);
+        assert!(drops > 0);
     }
 
     #[test]
@@ -2240,10 +1907,7 @@ mod tests {
                 done: false,
             })
             .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Congest(CongestError::UnicastForbidden { .. })
-        ));
+        assert!(matches!(err, SimError::UnicastForbidden { .. }));
     }
 
     #[test]
@@ -2279,7 +1943,6 @@ mod tests {
         // decisions, traffic totals, and fault outcomes must be
         // byte-identical at every shard count (the dedicated referee in
         // tests/sharding.rs additionally pins inboxes and trace streams).
-        use crate::faults::FaultSpec;
         let g = generators::clique(8);
         let run_with = |shards: usize| {
             Simulation::on(&g)
@@ -2423,7 +2086,7 @@ mod tests {
 
     #[test]
     fn crash_stop_silences_node_and_is_reported() {
-        use crate::faults::{CrashStop, FaultSpec};
+        use crate::faults::CrashStop;
         // Star center crashes before round 1: no message ever flows, and
         // every leaf (degree 1, only neighbor dead) hears nothing.
         let g = generators::star(5); // center 0 + 5 leaves
@@ -2448,25 +2111,30 @@ mod tests {
 
     #[test]
     fn crash_events_traced() {
-        use crate::faults::{CrashStop, FaultSpec};
-        use crate::trace::TraceBuffer;
+        use crate::faults::CrashStop;
         let g = generators::cycle(4);
-        let buf = TraceBuffer::new(100);
+        let log = Arc::new(EventLog::new());
         Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(64))
-            .collector(buf.clone())
+            .collector_arc(log.clone())
             .faults(FaultSpec::CrashStop(CrashStop::at(vec![(2, 1)])))
             .run(|_| flood())
             .unwrap();
-        let crashes = buf.events_of(TraceKind::Crash);
-        assert_eq!(crashes.len(), 1);
-        assert_eq!((crashes[0].from, crashes[0].round), (2, 1));
-        assert!(!buf.events_of(TraceKind::Send).is_empty());
+        let events = log.snapshot();
+        let crashes: Vec<_> = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                SimEvent::Crash { round, node } => Some((node, round)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes, vec![(2, 1)]);
+        assert!(events.iter().any(|ev| matches!(ev, SimEvent::Send { .. })));
     }
 
     #[test]
     fn link_failure_blocks_exactly_that_edge() {
-        use crate::faults::{FaultSpec, LinkFailure};
+        use crate::faults::LinkFailure;
         // Path 0-1-2 with ids 0 < 1 < 2. Fault-free, nodes 0 and 1 reject.
         // Severing {1, 2} in round 1 hides id 2 from node 1, so only node 0
         // (which still hears id 1) rejects.
@@ -2541,7 +2209,6 @@ mod tests {
 
     #[test]
     fn bit_flip_corrupts_bitstring_payloads() {
-        use crate::faults::FaultSpec;
         let g = generators::star(4); // node 0 center, 4 leaves
         let mk = || PatternCheck {
             pattern: 0xA5A5,
@@ -2568,7 +2235,7 @@ mod tests {
 
     #[test]
     fn fault_runs_reproducible_from_seed() {
-        use crate::faults::{CrashStop, FaultSpec};
+        use crate::faults::CrashStop;
         let g = generators::clique(9);
         // Crashes land in round 1 (the flood only runs one real round).
         let spec = FaultSpec::Stack(vec![
@@ -2600,7 +2267,6 @@ mod tests {
 
     #[test]
     fn per_round_fault_series_match_rounds() {
-        use crate::faults::FaultSpec;
         let g = generators::clique(6);
         let out = Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(64))

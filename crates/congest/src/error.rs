@@ -1,134 +1,178 @@
-//! The unified simulator error type.
+//! The simulator error type.
 //!
-//! [`Engine`](crate::Engine) and [`CliqueEngine`](crate::cliquemodel::CliqueEngine)
-//! historically surfaced separate error enums, which forced every driver
-//! that can route to either backend to pick one and lose the other.
-//! [`SimError`] is the shared error path: both backend errors convert in
-//! via `From` (so `?` just works), and convert back out via `TryFrom` for
-//! callers that know which backend ran.
+//! Every run — CONGEST, reliable transport, or congested clique — fails
+//! through the one [`SimError`]: a model violation by the algorithm
+//! (bandwidth, port, destination, broadcast-only), a configuration the
+//! selected backend cannot honor, or a configuration value that is invalid
+//! in itself.
 
-use crate::cliquemodel::CliqueError;
-use crate::engine::CongestError;
 use std::fmt;
 
 /// Any error a simulation can surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// An error from the CONGEST engine.
-    Congest(CongestError),
-    /// An error from the congested-clique engine.
-    Clique(CliqueError),
+    /// A CONGEST node tried to push more bits through an edge than the
+    /// bandwidth allows in one round.
+    BandwidthExceeded {
+        /// Sending node index.
+        node: usize,
+        /// Port the violation happened on.
+        port: usize,
+        /// Bits the node attempted to send this round on that port.
+        attempted: usize,
+        /// The configured limit.
+        limit: usize,
+        /// The round of the violation.
+        round: usize,
+    },
+    /// A CONGEST node addressed a port it does not have.
+    InvalidPort {
+        /// Sending node index.
+        node: usize,
+        /// The bad port.
+        port: usize,
+        /// The node's degree.
+        degree: usize,
+    },
+    /// A node unicast a message under broadcast-CONGEST (the model variant
+    /// of \[DKO14\] where every node must send the same message on all of
+    /// its edges).
+    UnicastForbidden {
+        /// Sending node index.
+        node: usize,
+        /// The round of the violation.
+        round: usize,
+    },
+    /// A congested-clique node exceeded the per-pair bandwidth in one
+    /// round.
+    PairBandwidthExceeded {
+        /// Sender.
+        from: usize,
+        /// Receiver.
+        to: usize,
+        /// Bits attempted this round on that pair.
+        attempted: usize,
+        /// Configured limit.
+        limit: usize,
+        /// Round of the violation.
+        round: usize,
+    },
+    /// A congested-clique message addressed outside `0..n` or to the
+    /// sender itself.
+    InvalidDestination {
+        /// Sender.
+        from: usize,
+        /// Receiver.
+        to: usize,
+    },
     /// The builder was configured with options the selected backend does
     /// not support (e.g. fault injection on the clique engine).
     Unsupported(String),
     /// A configuration value is invalid in itself (e.g. a zero-width ARQ
-    /// window), caught at validation instead of hanging or panicking
-    /// mid-run.
+    /// window, a loss probability above 1, or the wrong number of ids),
+    /// caught before the run instead of hanging or panicking mid-run.
     Config(String),
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Congest(e) => write!(f, "{e}"),
-            SimError::Clique(e) => write!(f, "{e}"),
+            SimError::BandwidthExceeded {
+                node,
+                port,
+                attempted,
+                limit,
+                round,
+            } => write!(
+                f,
+                "bandwidth exceeded: node {node} port {port} sent {attempted} bits \
+                 (limit {limit}) in round {round}"
+            ),
+            SimError::InvalidPort { node, port, degree } => {
+                write!(f, "invalid port {port} on node {node} (degree {degree})")
+            }
+            SimError::UnicastForbidden { node, round } => {
+                write!(
+                    f,
+                    "node {node} unicast in round {round} under broadcast-CONGEST"
+                )
+            }
+            SimError::PairBandwidthExceeded {
+                from,
+                to,
+                attempted,
+                limit,
+                round,
+            } => write!(
+                f,
+                "clique bandwidth exceeded: {from}->{to} sent {attempted} bits \
+                 (limit {limit}) in round {round}"
+            ),
+            SimError::InvalidDestination { from, to } => {
+                write!(f, "invalid destination {to} from node {from}")
+            }
             SimError::Unsupported(what) => write!(f, "unsupported configuration: {what}"),
             SimError::Config(what) => write!(f, "invalid configuration: {what}"),
         }
     }
 }
 
-impl std::error::Error for SimError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SimError::Congest(e) => Some(e),
-            SimError::Clique(e) => Some(e),
-            SimError::Unsupported(_) | SimError::Config(_) => None,
-        }
-    }
-}
-
-impl From<CongestError> for SimError {
-    fn from(e: CongestError) -> Self {
-        SimError::Congest(e)
-    }
-}
-
-impl From<CliqueError> for SimError {
-    fn from(e: CliqueError) -> Self {
-        SimError::Clique(e)
-    }
-}
-
-impl TryFrom<SimError> for CongestError {
-    type Error = SimError;
-
-    fn try_from(e: SimError) -> Result<Self, SimError> {
-        match e {
-            SimError::Congest(c) => Ok(c),
-            other => Err(other),
-        }
-    }
-}
-
-impl TryFrom<SimError> for CliqueError {
-    type Error = SimError;
-
-    fn try_from(e: SimError) -> Result<Self, SimError> {
-        match e {
-            SimError::Clique(c) => Ok(c),
-            other => Err(other),
-        }
-    }
-}
-
-impl SimError {
-    /// The CONGEST error inside, if that is what this is.
-    pub fn as_congest(&self) -> Option<&CongestError> {
-        match self {
-            SimError::Congest(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The clique error inside, if that is what this is.
-    pub fn as_clique(&self) -> Option<&CliqueError> {
-        match self {
-            SimError::Clique(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for SimError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn conversions_round_trip() {
-        let c = CongestError::InvalidPort {
-            node: 1,
-            port: 9,
-            degree: 2,
-        };
-        let e: SimError = c.clone().into();
-        assert_eq!(e.as_congest(), Some(&c));
-        assert_eq!(CongestError::try_from(e.clone()), Ok(c));
-        assert!(CliqueError::try_from(e).is_err());
-
-        let q = CliqueError::InvalidDestination { from: 0, to: 7 };
-        let e: SimError = q.clone().into();
-        assert_eq!(e.as_clique(), Some(&q));
-        assert_eq!(CliqueError::try_from(e).unwrap(), q);
-    }
-
-    #[test]
-    fn display_delegates() {
-        let e = SimError::from(CongestError::UnicastForbidden { node: 3, round: 2 });
-        assert!(e.to_string().contains("node 3"));
-        let u = SimError::Unsupported("faults on clique".into());
-        assert!(u.to_string().contains("unsupported"));
-        let c = SimError::Config("window must be at least 1".into());
-        assert!(c.to_string().contains("invalid configuration"));
+    fn display_texts() {
+        let cases = [
+            (
+                SimError::BandwidthExceeded {
+                    node: 1,
+                    port: 2,
+                    attempted: 64,
+                    limit: 8,
+                    round: 3,
+                },
+                "bandwidth exceeded: node 1 port 2 sent 64 bits (limit 8) in round 3",
+            ),
+            (
+                SimError::InvalidPort {
+                    node: 1,
+                    port: 9,
+                    degree: 2,
+                },
+                "invalid port 9 on node 1 (degree 2)",
+            ),
+            (
+                SimError::UnicastForbidden { node: 3, round: 2 },
+                "node 3 unicast in round 2 under broadcast-CONGEST",
+            ),
+            (
+                SimError::PairBandwidthExceeded {
+                    from: 0,
+                    to: 4,
+                    attempted: 40,
+                    limit: 32,
+                    round: 1,
+                },
+                "clique bandwidth exceeded: 0->4 sent 40 bits (limit 32) in round 1",
+            ),
+            (
+                SimError::InvalidDestination { from: 0, to: 7 },
+                "invalid destination 7 from node 0",
+            ),
+            (
+                SimError::Unsupported("faults on clique".into()),
+                "unsupported configuration: faults on clique",
+            ),
+            (
+                SimError::Config("window must be at least 1".into()),
+                "invalid configuration: window must be at least 1",
+            ),
+        ];
+        for (err, text) in cases {
+            assert_eq!(err.to_string(), text);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! delivery, plus a [`FaultSpec`] value type describing model configurations
 //! (cloneable, so detector drivers can re-run repetitions with fresh
 //! engines), and the [`FaultReport`] the engine attaches to every
-//! [`crate::RunOutcome`].
+//! [`crate::Outcome`].
 //!
 //! Every model is a **deterministic function of the engine seed**: a run
 //! with the same topology, algorithm, seed, and fault spec replays
@@ -525,6 +525,32 @@ impl FaultSpec {
         }
     }
 
+    /// Checks that every probability in the spec — including those inside
+    /// [`FaultSpec::Stack`] layers — lies in `[0, 1]` (NaN does not), so a
+    /// bad spec is reported before a run instead of panicking in
+    /// [`Self::build`]. The simulator runs this before every CONGEST run.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |what: &str, p: f64| {
+            if (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(format!("{what} must be a probability in [0, 1], got {p}"))
+            }
+        };
+        match self {
+            FaultSpec::None | FaultSpec::CrashStop(_) | FaultSpec::LinkFailure(_) => Ok(()),
+            FaultSpec::IndependentLoss(p) => check("independent loss rate", *p),
+            FaultSpec::GilbertElliott(gb, bg, lg, lb) => {
+                check("Gilbert-Elliott good-to-bad probability", *gb)?;
+                check("Gilbert-Elliott bad-to-good probability", *bg)?;
+                check("Gilbert-Elliott good-state loss", *lg)?;
+                check("Gilbert-Elliott bad-state loss", *lb)
+            }
+            FaultSpec::BitFlip(r) => check("bit-flip rate", *r),
+            FaultSpec::Stack(specs) => specs.iter().try_for_each(FaultSpec::validate),
+        }
+    }
+
     /// Whether this spec can ever affect a run.
     pub fn is_none(&self) -> bool {
         match self {
@@ -594,7 +620,7 @@ impl FaultModel for FaultStack {
 // ---------------------------------------------------------------------------
 
 /// What the fault layer did to a run — attached to every
-/// [`crate::RunOutcome`] so degradation is observable instead of silent.
+/// [`crate::Outcome`] so degradation is observable instead of silent.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultReport {
     /// Messages delivered intact.
@@ -830,6 +856,36 @@ mod tests {
         ])
         .build();
         assert_eq!(drop_wins.delivery(&ctx(3, 1, 0, 0)), Delivery::Drop);
+    }
+
+    #[test]
+    fn validate_checks_every_probability() {
+        assert!(FaultSpec::None.validate().is_ok());
+        assert!(FaultSpec::IndependentLoss(1.0).validate().is_ok());
+        assert!(FaultSpec::Stack(vec![
+            FaultSpec::GilbertElliott(0.1, 0.4, 0.0, 0.9),
+            FaultSpec::BitFlip(0.0),
+            FaultSpec::CrashStop(CrashStop::random(2, 3)),
+        ])
+        .validate()
+        .is_ok());
+        for bad in [
+            FaultSpec::IndependentLoss(1.5),
+            FaultSpec::IndependentLoss(f64::NAN),
+            FaultSpec::BitFlip(-0.5),
+            FaultSpec::GilbertElliott(f64::NAN, 0.4, 0.0, 0.9),
+            FaultSpec::GilbertElliott(0.1, 0.4, 0.0, 1.1),
+            FaultSpec::Stack(vec![
+                FaultSpec::None,
+                FaultSpec::Stack(vec![FaultSpec::BitFlip(3.0)]),
+            ]),
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
+        }
+        assert_eq!(
+            FaultSpec::IndependentLoss(1.5).validate(),
+            Err("independent loss rate must be a probability in [0, 1], got 1.5".into())
+        );
     }
 
     #[test]

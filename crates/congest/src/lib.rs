@@ -7,14 +7,17 @@
 //! bits, cut traffic), so every bound in the paper becomes a measurable
 //! quantity.
 //!
-//! * [`Simulation`] — the one front door: a builder routing to the CONGEST
-//!   engine, the reliable transport, or the congested-clique engine, and
-//!   returning a unified [`Outcome`] (decisions + stats + faults + metrics).
-//! * [`engine::Engine`] — the CONGEST round engine over a
-//!   [`graphlib::Graph`] topology (set [`engine::Bandwidth::Unbounded`] for
+//! * [`Simulation`] — the one way to configure and run a simulation: a
+//!   builder (with [`Prepared`] staging and per-run [`Overrides`]) routing
+//!   to the CONGEST engine, the reliable transport, or the congested-clique
+//!   engine. Every run returns the unified [`Outcome`] (decisions, stats,
+//!   faults, metrics), fails with the one [`SimError`], and reports through
+//!   the one [`SimEvent`] schema.
+//! * [`engine`] — the sharded CONGEST round engine behind the builder,
+//!   over a [`graphlib::Graph`] topology (set [`Bandwidth::Unbounded`] for
 //!   the LOCAL model).
-//! * [`cliquemodel::CliqueEngine`] — the congested-clique engine (all-to-all
-//!   topology, separate input graph).
+//! * [`cliquemodel`] — the congested-clique model (all-to-all topology,
+//!   separate input graph) and its [`cliquemodel::CliqueAlgorithm`] trait.
 //! * [`obsv`] — the observability spine: structured [`Collector`] tracing,
 //!   the [`Metrics`] registry, and the schema-versioned [`RunReport`].
 //! * [`chaos`] — the deterministic chaos-schedule fuzzer: seeded fault
@@ -38,10 +41,9 @@ pub mod obsv;
 pub mod reliable;
 pub mod simulation;
 pub mod stats;
-pub mod trace;
 
 pub use chaos::{ChaosEvent, ChaosFailure, ChaosSchedule};
-pub use engine::{Bandwidth, CongestError, Degraded, Engine, RunOutcome};
+pub use engine::Bandwidth;
 pub use error::SimError;
 pub use faults::{
     BitFlip, CrashStop, Delivery, DeliveryCtx, FaultModel, FaultReport, FaultSpec, GilbertElliott,
@@ -56,6 +58,5 @@ pub use obsv::{
     RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,
 };
 pub use reliable::{Reliable, ReliableConfig};
-pub use simulation::{CliqueRun, Outcome, Overrides, Prepared, RunResult, Simulation};
+pub use simulation::{CliqueRun, Degraded, Outcome, Overrides, Prepared, RunResult, Simulation};
 pub use stats::{EdgeTraffic, RunStats};
-pub use trace::{TraceBuffer, TraceEvent, TraceKind};

@@ -80,10 +80,11 @@ pub enum Decision {
 /// drop or corrupt individual deliveries, and a crash-stopped node is
 /// frozen: it stops being stepped, its pending outbox is discarded, and
 /// its last `decision()` is *not* treated as protocol output (see
-/// `RunOutcome::surviving_node_rejects`). Implementations should therefore
-/// never rely on a message having arrived to make a *reject* decision —
-/// rejection must be backed by positive evidence that survives lost
-/// messages, or wrapped in the [`crate::Reliable`] transport.
+/// [`Outcome::surviving_node_rejects`](crate::Outcome::surviving_node_rejects)).
+/// Implementations should therefore never rely on a message having arrived
+/// to make a *reject* decision — rejection must be backed by positive
+/// evidence that survives lost messages, or wrapped in the
+/// [`crate::Reliable`] transport.
 pub trait NodeAlgorithm: Send {
     /// Message type exchanged by this algorithm.
     type Msg: Clone + Send + Sync + BitSize;

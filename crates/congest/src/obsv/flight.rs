@@ -1,7 +1,7 @@
 //! The flight recorder: always-on, bounded-memory streaming telemetry.
 //!
-//! The PR-3/PR-5 observability stack ([`crate::TraceBuffer`],
-//! [`JsonlTrace`]) keeps O(messages) state — exactly what an n = 10⁶
+//! The full-trace collectors ([`EventLog`](crate::obsv::EventLog),
+//! [`JsonlTrace`]) keep O(messages) state — exactly what an n = 10⁶
 //! Theorem 1.1 run (billions of staged sends) or a long-lived
 //! `congest-serve` process cannot afford. [`FlightRecorder`] is the
 //! bounded replacement: it rides the same [`Collector`] seam but holds
@@ -165,7 +165,11 @@ impl<K: Ord + Copy> SpaceSaving<K> {
             return;
         }
         if self.entries.len() < self.cap {
-            self.entries.push(TopEntry { key, count: w, err: 0 });
+            self.entries.push(TopEntry {
+                key,
+                count: w,
+                err: 0,
+            });
             return;
         }
         // Deterministic victim: smallest count, ties by smallest key.
@@ -328,7 +332,10 @@ impl FlightRecorder {
         out.push_str(&Self::header_line(&self.cfg, &inner));
         out.push('\n');
         if let Some((n, bw, seed)) = inner.meta {
-            let _ = writeln!(out, r#"{{"ev":"meta","n":{n},"bandwidth":{bw},"seed":{seed}}}"#);
+            let _ = writeln!(
+                out,
+                r#"{{"ev":"meta","n":{n},"bandwidth":{bw},"seed":{seed}}}"#
+            );
         }
         for round in &inner.ring {
             for ev in round {
@@ -575,7 +582,11 @@ mod tests {
             for s in 0..sends_per_round {
                 rec.record(&send(r, s % 4, s % 3, 8, (r * 100 + s) as u64));
             }
-            rec.record(&round_end(r, 8 * sends_per_round as u64, sends_per_round as u64));
+            rec.record(&round_end(
+                r,
+                8 * sends_per_round as u64,
+                sends_per_round as u64,
+            ));
         }
     }
 

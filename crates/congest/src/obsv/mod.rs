@@ -9,8 +9,9 @@
 //!   [`Collector`] trait receives span/event records (round start/end,
 //!   per-node compute spans, send/drop/corrupt/crash, transport tallies)
 //!   from the CONGEST engine, the congested-clique engine, and the reliable
-//!   transport. [`crate::TraceBuffer`] implements it, so the legacy bounded
-//!   trace is one collector among several.
+//!   transport, all in the one [`SimEvent`] schema. The stock collectors
+//!   are the in-memory [`EventLog`], the bounded [`JsonlTrace`], and the
+//!   [`flight::FlightRecorder`].
 //! * [`metrics`] — a registry of counters/gauges/histograms with
 //!   *deterministic snapshot ordering* (sorted by name), so metric output is
 //!   byte-identical under the work-stealing pool at any thread count.

@@ -8,10 +8,10 @@
 //! byte-identical at any `RAYON_NUM_THREADS` — the property the golden and
 //! cross-thread tests pin.
 
-use crate::engine::Degraded;
 use crate::faults::FaultReport;
 use crate::obsv::analyze::CriticalPathSummary;
 use crate::obsv::metrics::MetricsSnapshot;
+use crate::simulation::Degraded;
 use crate::stats::RunStats;
 use std::fmt::Write as _;
 

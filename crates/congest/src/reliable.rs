@@ -34,11 +34,13 @@
 //!
 //! [`RunStats`]: crate::stats::RunStats
 
-use crate::engine::{CongestError, Engine, RunOutcome};
+use crate::engine::{Bandwidth, Engine};
+use crate::error::SimError;
 use crate::faults::raw_hash;
 use crate::message::{BitSize, Payload};
 use crate::node::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 use crate::obsv::profile::{prof_record, prof_start, Profiler, Section};
+use crate::simulation::Outcome;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -962,16 +964,19 @@ pub(crate) fn run_reliable_impl<A, F>(
     engine: &Engine<'_>,
     cfg: ReliableConfig,
     make: F,
-) -> Result<(RunOutcome, Vec<A>), CongestError>
+) -> Result<(Outcome, Vec<A>), SimError>
 where
     A: NodeAlgorithm,
     A::Msg: Hash,
     F: Fn(usize) -> A + Sync,
 {
-    let prof = engine.profiler_handle().cloned();
-    let seed = engine.seed_value();
-    let budget = engine.bandwidth_limit().unwrap_or(usize::MAX);
-    let (mut outcome, nodes) = engine.run_nodes_impl(|v| {
+    let prof = engine.cfg.profiler.clone();
+    let seed = engine.cfg.seed;
+    let budget = match engine.bandwidth {
+        Bandwidth::Bits(b) => b,
+        Bandwidth::Unbounded => usize::MAX,
+    };
+    let (mut outcome, nodes) = engine.run(|v| {
         let node = Reliable::new(make(v), cfg)
             .with_seed(seed)
             .with_budget(budget);
@@ -1008,7 +1013,7 @@ where
     outcome.faults.retransmissions_per_link = per_link;
     let n = nodes.len();
     outcome.assess_degradation(n);
-    if let Some(c) = engine.collector_handle() {
+    if let Some(c) = &engine.collector {
         c.record(&crate::obsv::SimEvent::TransportSummary {
             retransmissions: outcome.faults.retransmissions,
             given_up: outcome.faults.given_up,
@@ -1027,7 +1032,6 @@ mod window_referee;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Bandwidth;
     use crate::faults::FaultSpec;
     use crate::simulation::Simulation;
     use graphlib::generators;

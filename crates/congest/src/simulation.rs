@@ -68,7 +68,7 @@
 //! configuration — staging is purely an amortization.
 
 use crate::cliquemodel::{CliqueAlgorithm, CliqueEngine, CliqueStats};
-use crate::engine::{Bandwidth, Degraded, Engine, EnginePlan, RunOutcome};
+use crate::engine::{Bandwidth, Engine, EnginePlan};
 use crate::error::SimError;
 use crate::faults::{FaultReport, FaultSpec};
 use crate::node::{Decision, NodeAlgorithm};
@@ -83,20 +83,22 @@ use graphlib::Graph;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-/// Unified result of any [`Simulation`] run.
-///
-/// This is [`RunOutcome`] plus the frozen metrics snapshot; clique runs
-/// produce it too (with an empty decision vector — clique algorithms
-/// return typed outputs instead, see [`CliqueRun`]).
+/// Unified result of any [`Simulation`] run: per-node decisions, exact
+/// traffic stats, the fault report, the degradation verdict, and the
+/// frozen metrics snapshot. Clique runs produce it too (with an empty
+/// decision vector — clique algorithms return typed outputs instead, see
+/// [`CliqueRun`]).
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// Per-node decisions at the end of the run (empty for clique runs).
     pub decisions: Vec<Decision>,
     /// Exact traffic and round statistics.
     pub stats: RunStats,
-    /// Whether every live node halted before the round limit.
+    /// Whether every live node halted before the round limit (crashed
+    /// nodes count as halted — they can never halt voluntarily).
     pub completed: bool,
-    /// What the fault layer (and reliable transport) did to this run.
+    /// What the fault layer (and reliable transport) did to this run
+    /// (all-zeros for fault-free runs).
     pub faults: FaultReport,
     /// `Some` when the run degraded instead of completing cleanly (round
     /// budget exhausted, transport give-ups, or crashed nodes); the
@@ -107,17 +109,6 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    fn from_run(run: RunOutcome, metrics: MetricsSnapshot) -> Self {
-        Outcome {
-            decisions: run.decisions,
-            stats: run.stats,
-            completed: run.completed,
-            faults: run.faults,
-            degraded: run.degraded,
-            metrics,
-        }
-    }
-
     /// Whether this run degraded (see [`Degraded`]).
     pub fn is_degraded(&self) -> bool {
         self.degraded.is_some()
@@ -134,13 +125,15 @@ impl Outcome {
     }
 
     /// Whether the run was cut off by the round limit rather than halting
-    /// cleanly.
+    /// cleanly — the explicit negation of [`Self::completed`], so callers
+    /// distinguish "all nodes halted" from "the simulation gave up".
     pub fn hit_round_limit(&self) -> bool {
         !self.completed
     }
 
-    /// Whether some node that never crashed rejects — the meaningful
-    /// detection signal under crash faults.
+    /// Whether some node that never crashed rejects. Under crash faults
+    /// this is the meaningful detection signal: a crashed node's last
+    /// decision is frozen pre-crash state, not an output of the protocol.
     pub fn surviving_node_rejects(&self) -> bool {
         let crashed = self.faults.crashed_nodes();
         self.decisions
@@ -162,6 +155,60 @@ impl Outcome {
         )
         .with_degradation(self.degraded.clone(), self.decisions.len())
     }
+
+    /// (Re-)derives the degradation verdict from the current fault report
+    /// and completion flag, for a network of `n` nodes. Called by the
+    /// engine at the end of every run and again by the reliable transport
+    /// after folding its give-up tallies in.
+    pub(crate) fn assess_degradation(&mut self, n: usize) {
+        let crashed = self.faults.crashed_nodes();
+        if self.completed && crashed.is_empty() && self.faults.given_up == 0 {
+            self.degraded = None;
+            return;
+        }
+        let surviving: Vec<usize> = (0..n)
+            .filter(|v| crashed.binary_search(v).is_err())
+            .collect();
+        let surviving_frac = if n == 0 {
+            1.0
+        } else {
+            surviving.len() as f64 / n as f64
+        };
+        let attempts = self.faults.delivered + self.faults.dropped;
+        let delivered_frac = if attempts == 0 {
+            1.0
+        } else {
+            self.faults.delivered as f64 / attempts as f64
+        };
+        self.degraded = Some(Degraded {
+            surviving,
+            confidence: surviving_frac * delivered_frac,
+        });
+    }
+}
+
+/// Graceful-degradation verdict for a run that did not go perfectly:
+/// the round-budget watchdog tripped (`max_rounds` hit), the transport
+/// gave frames up, or nodes crashed. The decision is still usable — it
+/// covers the *surviving* subgraph and stays loss-sound (faults only
+/// remove information) — but the caller should know how much of the
+/// network it speaks for.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Degraded {
+    /// Nodes that never crashed, in index order.
+    pub surviving: Vec<usize>,
+    /// Rough quality estimate in `[0, 1]`: the surviving-node fraction
+    /// times the fraction of fault-layer deliveries that succeeded.
+    pub confidence: f64,
+}
+
+impl Degraded {
+    /// Whether a strict majority of the `n` nodes survived — the quorum
+    /// under which a surviving-subgraph decision is conventionally
+    /// considered representative.
+    pub fn has_quorum(&self, n: usize) -> bool {
+        2 * self.surviving.len() > n
+    }
 }
 
 /// Result of a congested-clique run through the builder: the typed per-node
@@ -172,8 +219,8 @@ pub struct CliqueRun<O> {
     pub outputs: Vec<O>,
     /// Clique-specific statistics (per-ordered-pair congestion).
     pub stats: CliqueStats,
-    /// The unified outcome (decisions empty; traffic stats and metrics
-    /// populated from the all-to-all topology accounting).
+    /// The unified outcome (decisions empty; completion, traffic stats and
+    /// metrics populated from the all-to-all topology accounting).
     pub outcome: Outcome,
 }
 
@@ -269,31 +316,31 @@ impl GraphRef<'_> {
 }
 
 /// Everything a run needs besides the topology. [`Simulation`] builds one;
-/// [`Prepared`] snapshots it and applies per-run [`Overrides`] on top.
+/// [`Prepared`] snapshots it and applies per-run [`Overrides`] on top; the
+/// engines read it directly. `None` fields take their defaults, which each
+/// engine's constructor resolves once per run.
 #[derive(Clone)]
-struct SimConfig {
-    bandwidth: Option<Bandwidth>,
-    bandwidth_bits: Option<usize>,
-    ids: Option<Arc<[u64]>>,
-    max_rounds: Option<usize>,
-    seed: u64,
-    broadcast_only: bool,
-    faults: FaultSpec,
-    reliable: Option<ReliableConfig>,
-    collector: Option<Arc<dyn Collector>>,
-    flight: Option<Arc<FlightRecorder>>,
-    timed: bool,
-    profiler: Option<Arc<Profiler>>,
-    shards: usize,
-    fused: bool,
-    early_termination: bool,
+pub(crate) struct SimConfig {
+    pub(crate) bandwidth: Option<Bandwidth>,
+    pub(crate) ids: Option<Arc<[u64]>>,
+    pub(crate) max_rounds: Option<usize>,
+    pub(crate) seed: u64,
+    pub(crate) broadcast_only: bool,
+    pub(crate) faults: FaultSpec,
+    pub(crate) reliable: Option<ReliableConfig>,
+    pub(crate) collector: Option<Arc<dyn Collector>>,
+    pub(crate) flight: Option<Arc<FlightRecorder>>,
+    pub(crate) timed: bool,
+    pub(crate) profiler: Option<Arc<Profiler>>,
+    pub(crate) shards: usize,
+    pub(crate) fused: bool,
+    pub(crate) early_termination: bool,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             bandwidth: None,
-            bandwidth_bits: None,
             ids: None,
             max_rounds: None,
             seed: 0,
@@ -312,6 +359,36 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// Checks a CONGEST run's configuration against its `n`-node topology
+    /// before any run state is built, so a bad value is an error, not a
+    /// panic mid-run: every fault probability, the identifier count, and
+    /// the reliable transport's tuning and its need for unicasts.
+    fn validate(&self, n: usize) -> Result<(), SimError> {
+        self.faults.validate().map_err(SimError::Config)?;
+        if let Some(ids) = &self.ids {
+            if ids.len() != n {
+                return Err(SimError::Config(format!(
+                    "with_ids needs one identifier per node: got {}, the topology has {n}",
+                    ids.len()
+                )));
+            }
+        }
+        if let Some(cfg) = self.reliable {
+            if self.broadcast_only {
+                return Err(SimError::Unsupported(
+                    "reliable transport under broadcast-only (the ARQ envelope \
+                     needs per-port unicasts)"
+                        .into(),
+                ));
+            }
+            cfg.validate().map_err(SimError::Config)?;
+        }
+        Ok(())
+    }
+
+    /// Every installed sink — the user collector, the flight recorder, and
+    /// the compute timer of a timed run — as the one handle an engine
+    /// records to.
     fn combined_collector(&self, timer: Option<&Arc<ComputeTimer>>) -> Option<Arc<dyn Collector>> {
         let mut sinks: Vec<Arc<dyn Collector>> = Vec::new();
         if let Some(c) = &self.collector {
@@ -330,61 +407,27 @@ impl SimConfig {
         }
     }
 
-    fn congest_engine<'g>(
-        &self,
-        graph: &'g Graph,
-        plan: Option<&Arc<EnginePlan>>,
-        timer: Option<&Arc<ComputeTimer>>,
-    ) -> Engine<'g> {
-        let mut e = Engine::new(graph)
-            .seed(self.seed)
-            .faults(self.faults.clone())
-            .broadcast_only(self.broadcast_only)
-            .shards(self.shards)
-            .fused(self.fused)
-            .early_termination(self.early_termination);
-        if let Some(p) = plan {
-            e = e.with_plan(Arc::clone(p));
-        }
-        if let Some(b) = self.bandwidth {
-            e = e.bandwidth(b);
-        }
-        if let Some(r) = self.max_rounds {
-            e = e.max_rounds(r);
-        }
-        if let Some(ids) = &self.ids {
-            e = e.with_ids_arc(Arc::clone(ids));
-        }
-        if let Some(c) = self.combined_collector(timer) {
-            e = e.collector(c);
-        }
-        if let Some(p) = &self.profiler {
-            e = e.profiler(Arc::clone(p));
-        }
-        e
-    }
-
-    /// Snapshots the run's metrics — into `scratch` (the [`Prepared`]
-    /// reset-in-place path: bucket storage is reused across a batch) when
-    /// given, into a fresh registry otherwise. Both produce identical
-    /// snapshots (see [`Metrics::reset`]).
+    /// Snapshots the run's metrics into `outcome` — into `scratch` (the
+    /// [`Prepared`] reset-in-place path: bucket storage is reused across a
+    /// batch) when given, into a fresh registry otherwise. Both produce
+    /// identical snapshots (see [`Metrics::reset`]).
     fn finish(
         &self,
-        run: RunOutcome,
+        mut outcome: Outcome,
         timer: Option<Arc<ComputeTimer>>,
         scratch: Option<&Mutex<Metrics>>,
     ) -> Outcome {
         let populate = |m: &mut Metrics| {
-            m.record_run(&run.stats, &run.faults);
+            m.record_run(&outcome.stats, &outcome.faults);
             if let Some(t) = &timer {
                 m.install_hist("compute.node_nanos", t.take());
             }
             if let Some(p) = &self.profiler {
                 p.install_into(m);
             }
-            // Surface collector capacity overflow (bounded TraceBuffer /
-            // JsonlTrace truncation) — present only when non-zero, so
-            // untruncated runs keep their exact metric set.
+            // Surface collector capacity overflow (bounded `JsonlTrace`
+            // truncation) — present only when non-zero, so untruncated
+            // runs keep their exact metric set.
             if let Some(c) = &self.collector {
                 let d = c.dropped_events();
                 if d > 0 {
@@ -404,7 +447,7 @@ impl SimConfig {
             }
             m.snapshot()
         };
-        let snapshot = match scratch {
+        outcome.metrics = match scratch {
             Some(lock) => {
                 let mut m = lock.lock().unwrap_or_else(|e| e.into_inner());
                 populate(&mut m)
@@ -413,18 +456,18 @@ impl SimConfig {
         };
         // Black-box behavior: a degraded run (round budget exhausted,
         // transport give-ups, crashes) dumps the flight record.
-        if run.degraded.is_some() {
+        if outcome.degraded.is_some() {
             if let Some(f) = &self.flight {
                 f.dump_on_failure("run degraded");
             }
         }
-        Outcome::from_run(run, snapshot)
+        outcome
     }
 
     fn run_with_nodes_impl<A, F>(
         &self,
         graph: &Graph,
-        plan: Option<&Arc<EnginePlan>>,
+        plan: Option<&EnginePlan>,
         scratch: Option<&Mutex<Metrics>>,
         make: F,
     ) -> Result<(Outcome, Vec<A>), SimError>
@@ -433,27 +476,24 @@ impl SimConfig {
         A::Msg: Hash,
         F: Fn(usize) -> A + Sync,
     {
-        let timer = if self.timed {
-            Some(Arc::new(ComputeTimer::new()))
-        } else {
-            None
-        };
-        let engine = self.congest_engine(graph, plan, timer.as_ref());
-        let result = match self.reliable {
-            Some(cfg) => {
-                if self.broadcast_only {
-                    return Err(SimError::Unsupported(
-                        "reliable transport under broadcast-only (the ARQ envelope \
-                         needs per-port unicasts)"
-                            .into(),
-                    ));
-                }
-                cfg.validate().map_err(SimError::Config)?;
-                run_reliable_impl(&engine, cfg, make)
+        self.validate(graph.n())?;
+        let timer = self.timed.then(|| Arc::new(ComputeTimer::new()));
+        // Shard layout + reverse-port table: staged by `Prepared` across a
+        // batch, or built here for a one-shot run — identical either way.
+        let built;
+        let plan = match plan {
+            Some(p) => p,
+            None => {
+                built = EnginePlan::build(graph, self.shards);
+                &built
             }
-            None => engine.run_nodes_impl(make),
         };
-        let (run, nodes) = match result {
+        let engine = Engine::new(graph, plan, self, self.combined_collector(timer.as_ref()));
+        let result = match self.reliable {
+            Some(cfg) => run_reliable_impl(&engine, cfg, make),
+            None => engine.run(make),
+        };
+        let (outcome, nodes) = match result {
             Ok(v) => v,
             Err(e) => {
                 // The run died mid-flight: the ring (including its open
@@ -461,10 +501,10 @@ impl SimConfig {
                 if let Some(f) = &self.flight {
                     f.dump_on_failure(&format!("run failed: {e}"));
                 }
-                return Err(e.into());
+                return Err(e);
             }
         };
-        Ok((self.finish(run, timer, scratch), nodes))
+        Ok((self.finish(outcome, timer, scratch), nodes))
     }
 
     fn run_clique_impl<A, F>(
@@ -497,49 +537,16 @@ impl SimConfig {
                 "custom identifiers on the clique engine (indices are public)".into(),
             ));
         }
-        let timer = if self.timed {
-            Some(Arc::new(ComputeTimer::new()))
-        } else {
-            None
-        };
-        let mut e = CliqueEngine::new(graph).seed(self.seed);
-        match (self.bandwidth_bits, self.bandwidth) {
-            (Some(b), _) => e = e.bandwidth_bits(b),
-            (None, Some(Bandwidth::Bits(b))) => e = e.bandwidth_bits(b),
-            (None, Some(Bandwidth::Unbounded)) => {
-                return Err(SimError::Unsupported(
-                    "unbounded bandwidth on the clique engine".into(),
-                ));
-            }
-            (None, None) => {}
+        if self.bandwidth == Some(Bandwidth::Unbounded) {
+            return Err(SimError::Unsupported(
+                "unbounded bandwidth on the clique engine".into(),
+            ));
         }
-        if let Some(r) = self.max_rounds {
-            e = e.max_rounds(r);
-        }
-        if let Some(c) = self.combined_collector(timer.as_ref()) {
-            e = e.collector(c);
-        }
-        if let Some(p) = &self.profiler {
-            e = e.profiler(Arc::clone(p));
-        }
-        let (clique, stats) = e.run_impl(make)?;
-        // No fault layer on the clique: everything sent was delivered.
-        let faults = FaultReport {
-            delivered: stats.total_messages,
-            ..FaultReport::default()
-        };
-        let run = RunOutcome {
-            decisions: Vec::new(),
-            stats,
-            completed: clique.completed,
-            faults,
-            degraded: None,
-        };
-        Ok(CliqueRun {
-            outputs: clique.outputs,
-            stats: clique.stats,
-            outcome: self.finish(run, timer, scratch),
-        })
+        let timer = self.timed.then(|| Arc::new(ComputeTimer::new()));
+        let collector = self.combined_collector(timer.as_ref());
+        let mut run = CliqueEngine::new(graph, self, collector).run(make)?;
+        run.outcome = self.finish(run.outcome, timer, scratch);
+        Ok(run)
     }
 }
 
@@ -552,8 +559,9 @@ pub struct Simulation<'g> {
 impl<'g> Simulation<'g> {
     /// A simulation over `graph` — the topology for CONGEST runs, the
     /// *input* graph for clique runs (whose topology is all-to-all).
-    /// Defaults mirror [`Engine::new`]: `Θ(log n)` bandwidth, seed 0, a
-    /// generous round limit, no faults, no collector.
+    /// Defaults: [`Bandwidth::log_of`]`(n)` bandwidth, identifiers
+    /// `id(v) = v`, seed 0, a round cap of `16 (n + 2)²` (`4 (n + 2)²` for
+    /// clique runs), no faults, no collector.
     pub fn on(graph: &'g Graph) -> Self {
         Simulation {
             graph: GraphRef::Borrowed(graph),
@@ -571,35 +579,20 @@ impl<'g> Simulation<'g> {
         }
     }
 
-    /// Sets the per-edge bandwidth for CONGEST runs (a clique run maps
-    /// `Bandwidth::Bits(b)` to its per-ordered-pair budget).
+    /// Sets the per-edge bandwidth for CONGEST runs; a clique run takes
+    /// `Bandwidth::Bits(b)` as its per-ordered-pair budget (and rejects
+    /// `Bandwidth::Unbounded`).
     pub fn bandwidth(mut self, b: Bandwidth) -> Self {
         self.cfg.bandwidth = Some(b);
         self
     }
 
-    /// Sets the per-ordered-pair bandwidth of a clique run in bits
-    /// (equivalent to `bandwidth(Bandwidth::Bits(b))` there; ignored by
-    /// CONGEST runs, which use [`Self::bandwidth`]).
-    pub fn bandwidth_bits(mut self, b: usize) -> Self {
-        self.cfg.bandwidth_bits = Some(b);
-        self
-    }
-
-    /// Installs a fault model (see [`crate::faults`]).
+    /// Installs a fault model (see [`crate::faults`]). Every probability in
+    /// the spec is checked when the run starts; one outside `[0, 1]` (or
+    /// NaN) fails the run with [`SimError::Config`].
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.cfg.faults = spec;
         self
-    }
-
-    /// Sugar for `faults(FaultSpec::IndependentLoss(p))` (`p = 0` clears).
-    pub fn loss_rate(self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss rate must be a probability");
-        if p == 0.0 {
-            self.faults(FaultSpec::None)
-        } else {
-            self.faults(FaultSpec::IndependentLoss(p))
-        }
     }
 
     /// Runs the algorithm under the reliable ARQ transport (default
@@ -633,7 +626,7 @@ impl<'g> Simulation<'g> {
         self
     }
 
-    /// Installs a [`FlightRecorder`](crate::obsv::flight::FlightRecorder):
+    /// Installs a [`FlightRecorder`]:
     /// the bounded-memory streaming telemetry layer. Composes with any
     /// [`Self::collector`] through a [`Fanout`]; the run's metrics gain the
     /// `flight.*` counters, and a degraded or failed run writes the flight
@@ -710,7 +703,8 @@ impl<'g> Simulation<'g> {
     }
 
     /// Sets the identifier assignment for CONGEST runs (must be `n`
-    /// values). Clique node indices are public, so clique runs reject this.
+    /// values, or the run fails with [`SimError::Config`]). Clique node
+    /// indices are public, so clique runs reject this.
     pub fn with_ids(mut self, ids: Vec<u64>) -> Self {
         self.cfg.ids = Some(ids.into());
         self
@@ -729,7 +723,7 @@ impl<'g> Simulation<'g> {
     /// runs with per-run [`Overrides`]. See the module docs.
     pub fn prepare(&self) -> Prepared {
         let graph = self.graph.to_arc();
-        let plan = Arc::new(EnginePlan::build(&graph, self.cfg.shards));
+        let plan = EnginePlan::build(&graph, self.cfg.shards);
         Prepared {
             inner: Arc::new(PreparedInner {
                 graph,
@@ -824,7 +818,7 @@ impl Overrides {
 
 struct PreparedInner {
     graph: Arc<Graph>,
-    plan: Arc<EnginePlan>,
+    plan: EnginePlan,
     cfg: SimConfig,
     /// Reset-in-place metrics registry: batched runs reuse its histogram
     /// storage instead of reallocating one registry per run.
@@ -1153,7 +1147,7 @@ mod tests {
     fn clique_route_returns_unified_outcome() {
         let g = graphlib::generators::cycle(6);
         let run = Simulation::on(&g)
-            .bandwidth_bits(32)
+            .bandwidth(Bandwidth::Bits(32))
             .run_clique(|_| DegreeReport {
                 acc: 0,
                 done: false,
@@ -1212,6 +1206,64 @@ mod tests {
             .run(|_| beacon())
             .unwrap_err();
         assert!(matches!(err, SimError::Unsupported(_)));
+    }
+
+    #[test]
+    fn bad_fault_probabilities_are_config_errors() {
+        let g = graphlib::generators::cycle(4);
+        let bad = [
+            FaultSpec::IndependentLoss(1.5),
+            FaultSpec::IndependentLoss(f64::NAN),
+            FaultSpec::BitFlip(-0.1),
+            FaultSpec::GilbertElliott(0.1, 0.4, 0.0, 1.2),
+            FaultSpec::Stack(vec![
+                FaultSpec::BitFlip(0.1),
+                FaultSpec::IndependentLoss(2.0),
+            ]),
+        ];
+        let prepared = Simulation::on(&g).bandwidth(Bandwidth::Bits(64)).prepare();
+        for spec in bad {
+            let one_shot = Simulation::on(&g)
+                .bandwidth(Bandwidth::Bits(64))
+                .faults(spec.clone())
+                .run(|_| beacon())
+                .unwrap_err();
+            assert!(
+                matches!(one_shot, SimError::Config(_)),
+                "{spec:?}: {one_shot}"
+            );
+            let staged = prepared
+                .run_with(&Overrides::new().faults(spec.clone()), |_| beacon())
+                .unwrap_err();
+            assert_eq!(staged, one_shot, "{spec:?}");
+        }
+        let cfg = ReliableConfig::default();
+        let err = Simulation::on(&g)
+            .bandwidth(Bandwidth::Bits(cfg.required_bandwidth(64)))
+            .reliable_config(cfg)
+            .faults(FaultSpec::IndependentLoss(1.5))
+            .run(|_| beacon())
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: independent loss rate must be a probability in [0, 1], got 1.5"
+        );
+    }
+
+    #[test]
+    fn wrong_identifier_count_is_a_config_error() {
+        let g = graphlib::generators::cycle(4);
+        let err = Simulation::on(&g)
+            .bandwidth(Bandwidth::Bits(64))
+            .with_ids(vec![7, 8, 9])
+            .run(|_| beacon())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Config(
+                "with_ids needs one identifier per node: got 3, the topology has 4".into()
+            )
+        );
     }
 
     fn gnp(n: usize, p: f64, seed: u64) -> graphlib::Graph {
@@ -1290,13 +1342,13 @@ mod tests {
             acc: 0,
             done: false,
         };
-        let prepared = Simulation::on(&g).bandwidth_bits(32).prepare();
+        let prepared = Simulation::on(&g).bandwidth(Bandwidth::Bits(32)).prepare();
         let staged = prepared
             .run_clique(&Overrides::new(), |_| mk())
             .unwrap()
             .into_clique();
         let fresh = Simulation::on(&g)
-            .bandwidth_bits(32)
+            .bandwidth(Bandwidth::Bits(32))
             .run_clique(|_| mk())
             .unwrap()
             .into_clique();
@@ -1313,7 +1365,7 @@ mod tests {
             .unwrap();
         assert!(congest.as_clique().is_none());
         let clique = Simulation::on(&g)
-            .bandwidth_bits(32)
+            .bandwidth(Bandwidth::Bits(32))
             .run_clique(|_| DegreeReport {
                 acc: 0,
                 done: false,

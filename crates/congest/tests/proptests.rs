@@ -1,9 +1,9 @@
 //! Property-based tests of the simulators' accounting invariants.
 
 use congest::{
-    bits_for_domain, Bandwidth, BitSize, BitString, CrashStop, Decision, FaultSpec, FlightConfig,
-    FlightRecorder, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing, Simulation, TraceBuffer,
-    TraceKind,
+    bits_for_domain, Bandwidth, BitSize, BitString, Collector, CrashStop, Decision, EventLog,
+    FaultSpec, FlightConfig, FlightRecorder, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing,
+    SimEvent, Simulation,
 };
 use graphlib::{generators, Graph};
 use proptest::prelude::*;
@@ -210,7 +210,7 @@ proptest! {
     ) {
         let mut dumps = Vec::new();
         for shards in [1usize, 2, 7] {
-            let trace = TraceBuffer::new(1 << 14);
+            let trace = Arc::new(EventLog::new());
             let rec = Arc::new(FlightRecorder::new(FlightConfig {
                 ring_rounds: 4,
                 ring_events_per_round: 64,
@@ -227,22 +227,29 @@ proptest! {
                 ]))
                 .max_rounds(6)
                 .shards(shards)
-                .collector(trace.clone())
+                .collector_arc(trace.clone())
                 .flight_recorder(Arc::clone(&rec))
                 .run(|_| Chatter { rounds: 3, payload_bits: 8, done: false })
                 .unwrap();
-            prop_assert_eq!(trace.dropped(), 0, "oracle trace must be complete");
+            prop_assert_eq!(trace.dropped_events(), 0, "oracle trace must be complete");
             // Fold the full trace per round; compare against the recorder's
             // streamed aggregates.
-            let count_by_round = |kind: TraceKind| {
+            let events = trace.snapshot();
+            let count_by_round = |pick: fn(&SimEvent) -> Option<usize>| {
                 let mut by_round = std::collections::HashMap::new();
-                for ev in trace.events_of(kind) {
-                    *by_round.entry(ev.round).or_insert(0u64) += 1;
+                for round in events.iter().filter_map(pick) {
+                    *by_round.entry(round).or_insert(0u64) += 1;
                 }
                 by_round
             };
-            let drops = count_by_round(TraceKind::Drop);
-            let corrupts = count_by_round(TraceKind::Corrupt);
+            let drops = count_by_round(|ev| match ev {
+                SimEvent::Drop { round, .. } => Some(*round),
+                _ => None,
+            });
+            let corrupts = count_by_round(|ev| match ev {
+                SimEvent::Corrupt { round, .. } => Some(*round),
+                _ => None,
+            });
             let aggs = rec.aggregates();
             prop_assert_eq!(aggs.len() as u64, rec.totals().rounds);
             prop_assert_eq!(aggs.len(), out.stats.rounds);
@@ -262,7 +269,7 @@ proptest! {
             prop_assert_eq!(rec.totals().corrupted, out.faults.corrupted);
             prop_assert_eq!(
                 rec.sends_seen() as usize,
-                trace.events_of(TraceKind::Send).len(),
+                events.iter().filter(|ev| matches!(ev, SimEvent::Send { .. })).count(),
                 "every traced send must be offered to the reservoir"
             );
             prop_assert_eq!(

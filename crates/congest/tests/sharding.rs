@@ -12,26 +12,14 @@
 //! thread counts × {fused, pre-fusion}.
 
 use congest::{
-    Bandwidth, BitString, CrashStop, Decision, FaultSpec, Inbox, NodeAlgorithm, NodeContext,
-    Outbox, Outgoing, SimEvent, Simulation,
+    Bandwidth, BitString, CrashStop, Decision, EventLog, FaultSpec, Inbox, NodeAlgorithm,
+    NodeContext, Outbox, Outgoing, SimEvent, Simulation,
 };
 use graphlib::{generators, Graph};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::{Arc, Mutex};
-
-/// Records every event in arrival order, verbatim — unlike
-/// [`congest::TraceBuffer`], which sorts and summarizes, this is the
-/// byte-level view of the stream.
-#[derive(Default)]
-struct EventLog(Mutex<Vec<SimEvent>>);
-
-impl congest::Collector for EventLog {
-    fn record(&self, ev: &SimEvent) {
-        self.0.lock().unwrap().push(ev.clone());
-    }
-}
 
 /// One node's observed inboxes: per round, the `(index, port, payload)`
 /// triples in arrival order.
@@ -129,7 +117,7 @@ fn observe(
     let logs: Vec<NodeLog> = (0..g.n())
         .map(|_| Arc::new(Mutex::new(Vec::new())))
         .collect();
-    let events = Arc::new(EventLog::default());
+    let events = Arc::new(EventLog::new());
     let out = Simulation::on(g)
         .bandwidth(Bandwidth::Bits(256))
         .seed(seed)
@@ -144,10 +132,9 @@ fn observe(
             log: Arc::clone(&logs[v]),
         })
         .unwrap();
-    let stream = events.0.lock().unwrap().clone();
     Observed {
         inboxes: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
-        events: stream,
+        events: events.take(),
         total_bits: out.stats.total_bits,
         per_round_bits: out.stats.per_round_bits.clone(),
         directed_edge_bits: out.stats.directed_edge_bits.clone(),

@@ -1,17 +1,19 @@
-//! Bounded-collector overflow is surfaced, not silent: a [`TraceBuffer`]
+//! Bounded-collector overflow is surfaced, not silent: a [`JsonlTrace`]
 //! past capacity reports its dropped-event count through the run's
 //! [`MetricsSnapshot`] as `trace.dropped_events` — and with it through
 //! every run report embedding one. Untruncated runs omit the key, so the
 //! metric's presence *is* the overflow signal.
 //!
+//! [`JsonlTrace`]: congest::JsonlTrace
 //! [`MetricsSnapshot`]: congest::MetricsSnapshot
 
 use congest::{
-    Bandwidth, BitString, Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing,
-    Simulation, TraceBuffer,
+    Bandwidth, BitString, Decision, Inbox, JsonlTrace, NodeAlgorithm, NodeContext, Outbox,
+    Outgoing, Simulation,
 };
 use graphlib::generators;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Broadcasts 8 bits per round for `rounds` rounds, then halts.
 struct Chatter {
@@ -46,13 +48,13 @@ impl NodeAlgorithm for Chatter {
     }
 }
 
-fn run_with_capacity(capacity: usize) -> (congest::Outcome, TraceBuffer) {
+fn run_with_capacity(capacity: usize) -> (congest::Outcome, Arc<JsonlTrace>) {
     let g = generators::cycle(8);
-    let trace = TraceBuffer::new(capacity);
+    let trace = Arc::new(JsonlTrace::new(capacity));
     let out = Simulation::on(&g)
         .bandwidth(Bandwidth::Bits(8))
         .max_rounds(4)
-        .collector(trace.clone())
+        .collector_arc(trace.clone())
         .run(|_| Chatter { rounds: 3 })
         .expect("run failed");
     (out.into_outcome(), trace)
@@ -60,8 +62,8 @@ fn run_with_capacity(capacity: usize) -> (congest::Outcome, TraceBuffer) {
 
 #[test]
 fn overflowing_trace_surfaces_dropped_events_in_the_metrics() {
-    // 8 nodes broadcasting on a cycle: 16 sends per round, 4 rounds — a
-    // 10-event buffer overflows by round 1.
+    // 8 nodes broadcasting on a cycle: 8 sends and 16 deliveries per
+    // round, 4 rounds — a 10-line trace overflows in round 1.
     let (out, trace) = run_with_capacity(10);
     assert!(trace.dropped() > 0, "buffer must have overflowed");
     assert_eq!(

@@ -15,7 +15,7 @@
 
 use congest::cliquemodel::{CliqueAlgorithm, CliqueContext};
 use congest::{bits_for_domain, BitSize};
-use congest::{SimError, Simulation};
+use congest::{Bandwidth, SimError, Simulation};
 use graphlib::combinatorics::ceil_root;
 use graphlib::{FxHashMap, Graph, GraphBuilder};
 use rand::{Rng, SeedableRng};
@@ -310,7 +310,7 @@ pub fn list_cliques_congested(g: &Graph, s: usize, seed: u64) -> Result<ListingR
     let tuples_of_node = std::sync::Arc::new(tuples_of_node);
     let group_arc = group_of.clone();
     let out = Simulation::on(g)
-        .bandwidth_bits(msg_bits as usize)
+        .bandwidth(Bandwidth::Bits(msg_bits as usize))
         .max_rounds(p1_rounds + p2_rounds + 3)
         .seed(seed)
         .run_clique(|v| ListingNode {

@@ -24,7 +24,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use congest::{Histogram, Metrics, MetricValue, Prepared};
+use congest::{Histogram, MetricValue, Metrics, Prepared};
 use graphlib::Graph;
 use rayon::prelude::*;
 
@@ -143,11 +143,7 @@ impl Service {
             }
             Ok(Request::Flush) => self.flush(),
             Ok(Request::Telemetry) => vec![self.telemetry_line()],
-            Ok(Request::Stats) => self
-                .stats_text()
-                .lines()
-                .map(str::to_string)
-                .collect(),
+            Ok(Request::Stats) => self.stats_text().lines().map(str::to_string).collect(),
         }
     }
 
@@ -192,7 +188,7 @@ impl Service {
                             out.detected,
                         )
                     }
-                    Err(e) => error_line(Some(&r.id), &format!("{e:?}")),
+                    Err(e) => error_line(Some(&r.id), &e.to_string()),
                 };
                 (line, t.elapsed().as_micros() as u64)
             })
@@ -274,7 +270,7 @@ impl Service {
         self.telemetry.inc("serve.batches", 1);
         if self
             .telemetry_every
-            .is_some_and(|every| every > 0 && self.batches % every == 0)
+            .is_some_and(|every| every > 0 && self.batches.is_multiple_of(every))
         {
             out.push(self.telemetry_line());
         }
@@ -483,7 +479,10 @@ mod tests {
         assert!(text.contains("\nserve_queries 1"), "{text}");
         assert!(text.contains("# TYPE serve_latency_us histogram"), "{text}");
         assert!(text.contains("serve_latency_us_count 1"), "{text}");
-        assert!(text.contains(r#"serve_latency_us_bucket{le="+Inf"} 1"#), "{text}");
+        assert!(
+            text.contains(r#"serve_latency_us_bucket{le="+Inf"} 1"#),
+            "{text}"
+        );
     }
 
     #[test]
@@ -501,16 +500,17 @@ mod tests {
         svc.handle_line(&query_line("b", 2));
         let second = svc.flush();
         let tail = second.last().unwrap();
-        assert!(tail.contains(r#""schema":"congest.serve.telemetry""#), "{tail}");
+        assert!(
+            tail.contains(r#""schema":"congest.serve.telemetry""#),
+            "{tail}"
+        );
         assert!(tail.contains(r#""batches":2"#), "{tail}");
     }
 
     #[test]
     fn metrics_path_rewrites_prometheus_file_on_flush() {
-        let path = std::env::temp_dir().join(format!(
-            "congest_serve_metrics_{}.prom",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("congest_serve_metrics_{}.prom", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut svc = Service::new(ServiceConfig {
             metrics_path: Some(path.to_string_lossy().into_owned()),

@@ -43,7 +43,7 @@
 //!       small-capacity flight recorder riding along) on stdout — the
 //!       producer side of the flight-golden and cross-thread-count
 //!       determinism gates in `scripts/check.sh`.
-//!   congest-trace dump --flight-faulty [n]
+//!   congest-trace dump --flight-faulty \[n\]
 //!       Render the flight record of a *faulty* census-size run (the
 //!       E3-scale planted-C4 instance at n, default 10^5, under 20%
 //!       independent loss) — the EXPERIMENTS.md walkthrough producer.
@@ -100,9 +100,10 @@ fn load_events(path: &str) -> Result<Vec<congest::SimEvent>, String> {
 /// Whether a document is a flight-recorder dump: its first non-empty line
 /// leads with the `congest.flight_record` header.
 fn is_flight_dump(doc: &str) -> bool {
-    doc.lines()
-        .find(|l| !l.trim().is_empty())
-        .is_some_and(|l| l.trim_start().starts_with(r#"{"schema":"congest.flight_record""#))
+    doc.lines().find(|l| !l.trim().is_empty()).is_some_and(|l| {
+        l.trim_start()
+            .starts_with(r#"{"schema":"congest.flight_record""#)
+    })
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -114,8 +115,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             } else if path.ends_with(".json") {
                 tracetools::check_run_report(&doc)
             } else {
-                let events =
-                    tracetools::parse_jsonl(&doc).map_err(|e| format!("{path}: {e}"))?;
+                let events = tracetools::parse_jsonl(&doc).map_err(|e| format!("{path}: {e}"))?;
                 congest::obsv::check(&events)
             };
             if violations.is_empty() {

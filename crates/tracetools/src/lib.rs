@@ -408,7 +408,10 @@ pub fn parse_flight(dump: &str) -> Result<FlightRecord, ParseError> {
         Some(s) => {
             return Err(err(
                 hline,
-                format!("schema \"{s}\" is not \"{}\"", congest::FLIGHT_RECORD_SCHEMA),
+                format!(
+                    "schema \"{s}\" is not \"{}\"",
+                    congest::FLIGHT_RECORD_SCHEMA
+                ),
             ))
         }
         None => return Err(err(hline, "missing field \"schema\"")),
@@ -583,9 +586,9 @@ pub fn check_flight(doc: &str) -> Vec<String> {
                 }
                 closed_rounds += 1;
                 for (label, counted, tally) in [
-                    ("send events", sends, messages as u64),
-                    ("drop events", drops, dropped as u64),
-                    ("corrupt events", corrupts, corrupted as u64),
+                    ("send events", sends, messages),
+                    ("drop events", drops, dropped),
+                    ("corrupt events", corrupts, corrupted),
                 ] {
                     if counted > tally {
                         out.push(format!(
@@ -594,7 +597,9 @@ pub fn check_flight(doc: &str) -> Vec<String> {
                     }
                 }
             }
-            _ => out.push(format!("unexpected event kind in the ring (line-order index {i})")),
+            _ => out.push(format!(
+                "unexpected event kind in the ring (line-order index {i})"
+            )),
         }
     }
     if closed_rounds != rec.ring_rounds {
@@ -700,7 +705,10 @@ pub fn render_flight_tail(rec: &FlightRecord) -> String {
         }
     }
     if let Some(round) = open_round {
-        let _ = writeln!(out, "  round {round} (partial): {open_events} events buffered");
+        let _ = writeln!(
+            out,
+            "  round {round} (partial): {open_events} events buffered"
+        );
     }
     if !rec.top_edges.is_empty() {
         let _ = writeln!(out, "top edges (bits, +err overestimate):");
@@ -710,7 +718,11 @@ pub fn render_flight_tail(rec: &FlightRecord) -> String {
             } else {
                 format!("port {}", e.port)
             };
-            let _ = writeln!(out, "  node {} -> {}: {} (+{})", e.from, port, e.bits, e.err);
+            let _ = writeln!(
+                out,
+                "  node {} -> {}: {} (+{})",
+                e.from, port, e.bits, e.err
+            );
         }
     }
     if !rec.top_senders.is_empty() {

@@ -29,10 +29,10 @@ else
     echo "==> clippy not installed; skipping lints" >&2
 fi
 
-# The pre-Simulation run shims (Engine::run/run_nodes, CliqueEngine::run,
-# run_reliable) are GONE, not deprecated: nothing in the tree — the engine
-# crate included — may mention them, and no new `#[deprecated]` shim may
-# appear anywhere. The raw engine constructors remain legal in exactly one
+# The public pre-Simulation run shims (Engine::run/run_nodes,
+# CliqueEngine::run, run_reliable) are GONE, not deprecated: nothing in the
+# tree — the engine crate included — may mention them, and no new
+# `#[deprecated]` shim may appear anywhere. The raw engine constructors remain legal in exactly one
 # place, the Simulation builder inside crates/congest.
 echo "==> checking the removed run shims are absent everywhere"
 shims='\.run_nodes\(|run_reliable\(|#\[deprecated'
@@ -60,6 +60,32 @@ if grep -rnE "$ctors" \
     status=1
 else
     echo "    no raw engine constructors outside congest's builder"
+fi
+
+# One run path: a run is configured only through congest::Simulation (with
+# Prepared and Overrides), returns only congest::Outcome, fails only with
+# congest::SimError, and reports only in the SimEvent schema. The engines
+# are crate-private and read the builder's config directly, so the legacy
+# result/error/trace types, the clique-only bandwidth sugar, and any public
+# method (or public struct) on Engine or CliqueEngine must stay gone.
+echo "==> checking the removed duplicate run surfaces are absent everywhere"
+dupes='\b(TraceBuffer|TraceEvent|TraceKind|RunOutcome|CongestError|CliqueError|CliqueOutcome)\b|bandwidth_bits\(|pub struct (Clique)?Engine\b'
+if grep -rnE "$dupes" src tests examples crates \
+    --exclude-dir=target 2>/dev/null; then
+    echo "error: a removed duplicate run surface reappeared; configure runs" \
+         "through Simulation, return Outcome, fail with SimError, trace SimEvent" >&2
+    status=1
+elif awk '
+    /^impl(<[^>]*>)? (Clique)?Engine[<[:space:]{]/ { inside = 1 }
+    inside && /^}/ { inside = 0 }
+    inside && /^[[:space:]]*pub fn/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }
+' crates/congest/src/engine.rs crates/congest/src/cliquemodel.rs; then
+    echo "error: a pub fn reappeared on Engine or CliqueEngine; the engines" \
+         "take their configuration from the Simulation builder only" >&2
+    status=1
+else
+    echo "    one configuration, result, error and event surface (no engine setters)"
 fi
 
 # The CSR routing arena replaced the per-receiver scan of a per-node wire

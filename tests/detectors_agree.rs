@@ -97,7 +97,7 @@ fn detectors_stay_sound_under_message_loss() {
         let horizon = g.max_degree() + 1;
         let out = Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(congest::bits_for_domain(g.n())))
-            .loss_rate(loss)
+            .faults(congest::FaultSpec::IndependentLoss(loss))
             .max_rounds(horizon + 2)
             .run(|_| CliqueDetectNode::new(3, horizon))
             .unwrap();
@@ -110,7 +110,7 @@ fn detectors_stay_sound_under_message_loss() {
     let tri = graphlib::generators::clique(3);
     let out = Simulation::on(&tri)
         .bandwidth(Bandwidth::Bits(congest::bits_for_domain(3)))
-        .loss_rate(0.0)
+        .faults(congest::FaultSpec::None)
         .max_rounds(5)
         .run(|_| CliqueDetectNode::new(3, 3))
         .unwrap();

@@ -12,7 +12,7 @@
 //! dump below with the variable set to `1`, `4`, and unset, and compares
 //! the dumps.
 
-use congest::{Bandwidth, CrashStop, FaultSpec, TraceBuffer};
+use congest::{Bandwidth, CrashStop, EventLog, FaultSpec};
 use distributed_subgraph_detection::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -23,7 +23,8 @@ const END: &str = "END_DETERMINISM_FIXTURE";
 
 /// Everything a run can observably produce, as one `Debug` dump: the
 /// even-cycle detector's report on a planted instance, and a chaos run's
-/// full `RunOutcome` (decisions, stats, fault report) plus its trace.
+/// full `Outcome` (decisions, stats, fault report, metrics) plus its event
+/// stream.
 fn fixture_dump() -> String {
     use std::fmt::Write as _;
     let mut dump = String::new();
@@ -43,7 +44,7 @@ fn fixture_dump() -> String {
     let sched = detection::even_cycle::Schedule::derive(g2.n(), 2, None);
     let bandwidth = Bandwidth::Bits(sched.required_bandwidth.max(8));
     let max_rounds = sched.r1_rounds + 2;
-    let trace = TraceBuffer::new(1 << 14);
+    let trace = std::sync::Arc::new(EventLog::new());
     let out = Simulation::on(&g2)
         .bandwidth(bandwidth)
         .seed(99)
@@ -53,12 +54,11 @@ fn fixture_dump() -> String {
             FaultSpec::BitFlip(0.1),
             FaultSpec::CrashStop(CrashStop::random(2, 3)),
         ]))
-        .collector(trace.clone())
+        .collector_arc(trace.clone())
         .run(move |_| detection::even_cycle::ColorBfsNode::new(sched.clone()))
         .expect("chaos run failed");
     writeln!(dump, "chaos_outcome: {out:?}").unwrap();
-    writeln!(dump, "chaos_trace_dropped: {}", trace.dropped()).unwrap();
-    for ev in trace.events() {
+    for ev in trace.take() {
         writeln!(dump, "chaos_trace: {ev:?}").unwrap();
     }
     dump

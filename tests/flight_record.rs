@@ -187,7 +187,10 @@ fn flight_dump_identical_across_thread_counts() {
         dumps.push((label, stdout[begin..end].trim().to_string()));
     }
     let (ref_label, reference) = &dumps[0];
-    assert!(!reference.is_empty(), "flight fixture produced an empty dump");
+    assert!(
+        !reference.is_empty(),
+        "flight fixture produced an empty dump"
+    );
     for (label, dump) in &dumps[1..] {
         assert_eq!(
             dump, reference,
