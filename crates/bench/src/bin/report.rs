@@ -43,7 +43,7 @@ fn e1() {
     println!("\n=== E1: Theorem 1.1 — C_2k detection is sublinear ===");
     for k in [2usize, 3] {
         let sizes: Vec<usize> = (6..=11).map(|e| 1usize << e).collect();
-        let rows = exp::e1_even_cycle(k, &sizes, 1, 42);
+        let rows = exp::e1_even_cycle(k, &sizes, 1, 42, None);
         println!(
             "k={k}: target exponent 1-1/(k(k-1)) = {:.3}",
             1.0 - 1.0 / (k as f64 * (k as f64 - 1.0))

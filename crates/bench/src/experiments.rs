@@ -27,38 +27,14 @@ pub struct E1Row {
 /// Runs the engine's production tuning (fused send pass + causal early
 /// termination); the reported `detector_rounds` is the *schedule's*
 /// per-repetition round count, so the series is tuning-independent.
-pub fn e1_even_cycle(k: usize, sizes: &[usize], reps: usize, seed: u64) -> Vec<E1Row> {
-    e1_even_cycle_tuned(k, sizes, reps, seed, true, true)
-}
-
-/// [`e1_even_cycle`] with explicit engine tuning: `fused` selects the
-/// fused vs pre-fusion send pass, `early_termination` the causal
-/// round-skip. The A/B lever behind the `e1_prefusion` / `e1_noearly`
-/// baseline entries — decisions and bit totals are identical at any
-/// setting (pinned by the fusion referee and the ET driver tests).
-pub fn e1_even_cycle_tuned(
+/// `obs`, when given, rides every detector run (the flight-recorder arm of
+/// the overhead gate in `tests/gates.rs`); `None` is the bare run — same
+/// instances, same seeds, same decisions.
+pub fn e1_even_cycle(
     k: usize,
     sizes: &[usize],
     reps: usize,
     seed: u64,
-    fused: bool,
-    early_termination: bool,
-) -> Vec<E1Row> {
-    e1_even_cycle_instrumented(k, sizes, reps, seed, fused, early_termination, None)
-}
-
-/// [`e1_even_cycle_tuned`] with an optional observer riding the detector
-/// runs. This is the flight-recorder on/off A/B lever behind the perf
-/// `e1_flight` entry: an observer carrying a [`congest::FlightRecorder`]
-/// streams every event past the always-on telemetry path, while `None` is
-/// the bare production run — same instances, same seeds, same decisions.
-pub fn e1_even_cycle_instrumented(
-    k: usize,
-    sizes: &[usize],
-    reps: usize,
-    seed: u64,
-    fused: bool,
-    early_termination: bool,
     obs: Option<&detection::EvenCycleObserver>,
 ) -> Vec<E1Row> {
     sizes
@@ -70,8 +46,7 @@ pub fn e1_even_cycle_instrumented(
             let cfg = detection::EvenCycleConfig::new(k)
                 .repetitions(reps)
                 .seed(seed)
-                .fused(fused)
-                .early_termination(early_termination);
+                .early_termination(true);
             let rep = match obs {
                 Some(o) => detection::detect_even_cycle_observed(&g, cfg, o).expect("engine"),
                 None => detection::detect_even_cycle(&g, cfg).expect("engine"),
@@ -618,7 +593,8 @@ pub fn e9_property_testing(trials: usize, seed: u64) -> Vec<E9Row> {
     rows
 }
 
-/// One run of the scale experiment (E3-scale in `BENCH_<date>.json`).
+/// One run of the scale experiment (E3-scale; `tests/gates.rs` runs it at
+/// `n = 10^4` as a release smoke).
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Number of nodes.
@@ -643,12 +619,12 @@ pub fn scale_graph(n: usize, seed: u64) -> Graph {
     generators::planted_c2k(n, 4, 2, &mut rng).0
 }
 
-/// E3-scale — the sharded round engine at census sizes (`n = 10^5` in the
-/// full baseline): ONE repetition of the Theorem 1.1 `C_4` detector on
-/// [`scale_graph`]. The graph is taken pre-built so callers can time the
-/// round loop alone; there is no gather baseline here (its round count is
-/// linear in `n`, which is the whole point of the theorem).
-pub fn e3_scale_on(g: &Graph, shards: usize, seed: u64) -> ScaleRow {
+/// E3-scale — the sharded round engine at census sizes: ONE repetition of
+/// the Theorem 1.1 `C_4` detector on [`scale_graph`] (`n = 10^5` is the
+/// documented walkthrough size). There is no gather baseline here (its
+/// round count is linear in `n`, which is the whole point of the theorem).
+pub fn e3_scale(n: usize, shards: usize, seed: u64) -> ScaleRow {
+    let g = scale_graph(n, seed);
     // Production tuning: fused send pass (the default) plus causal early
     // termination — the mostly-idle Phase II block windows are exactly the
     // rounds ET exists to skip, and at census sizes they dominate.
@@ -657,7 +633,7 @@ pub fn e3_scale_on(g: &Graph, shards: usize, seed: u64) -> ScaleRow {
         .seed(seed)
         .shards(shards)
         .early_termination(true);
-    let rep = detection::detect_even_cycle(g, cfg).expect("engine");
+    let rep = detection::detect_even_cycle(&g, cfg).expect("engine");
     ScaleRow {
         n: g.n(),
         rounds: rep.total_rounds,
@@ -665,19 +641,6 @@ pub fn e3_scale_on(g: &Graph, shards: usize, seed: u64) -> ScaleRow {
         detected: rep.detected,
         shards,
     }
-}
-
-/// [`e3_scale_on`] including graph construction, for one-shot callers.
-pub fn e3_scale(n: usize, shards: usize, seed: u64) -> ScaleRow {
-    e3_scale_on(&scale_graph(n, seed), shards, seed)
-}
-
-/// A small default graph used by the criterion benches.
-pub fn bench_graph(n: usize, seed: u64) -> Graph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let base = generators::random_tree(n, &mut rng);
-    let (g, _) = generators::plant_cycle(&base, 4, &mut rng);
-    g
 }
 
 #[cfg(test)]
@@ -698,7 +661,7 @@ mod tests {
 
     #[test]
     fn e1_rows_are_sublinear_in_shape() {
-        let rows = e1_even_cycle(2, &[64, 256], 1, 3);
+        let rows = e1_even_cycle(2, &[64, 256], 1, 3, None);
         assert_eq!(rows.len(), 2);
         // Quadrupling n must far less than quadruple the detector rounds.
         let ratio = rows[1].detector_rounds as f64 / rows[0].detector_rounds as f64;

@@ -43,6 +43,10 @@
 //!       small-capacity flight recorder riding along) on stdout — the
 //!       producer side of the flight-golden and cross-thread-count
 //!       determinism gates in `scripts/check.sh`.
+//!   congest-trace dump --summary
+//!       Print the canonical run reports (the scenarios behind the
+//!       `tests/golden/run_report_*.json` goldens) as human-readable
+//!       tables.
 //!   congest-trace dump --flight-faulty \[n\]
 //!       Render the flight record of a *faulty* census-size run (the
 //!       E3-scale planted-C4 instance at n, default 10^5, under 20%
@@ -63,7 +67,7 @@ const USAGE: &str = "usage: congest-trace <command> [args]\n\
   diff <a.jsonl> <b.jsonl>\n\
   idle-tail <trace.jsonl | --canonical>\n\
   tail <flight.jsonl>\n\
-  dump --canonical | --flight-canonical | --flight-faulty [n]\n\
+  dump --canonical | --flight-canonical | --summary | --flight-faulty [n]\n\
   profile\n";
 
 /// Write to stdout, exiting with the conventional SIGPIPE status (141)
@@ -130,7 +134,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         [cmd, source] if cmd == "critical-path" => {
             let events = if source == "--canonical" {
-                bench::perf::canonical_fault_free_traced().1
+                bench::canonical::canonical_fault_free_traced().1
             } else {
                 load_events(source)?
             };
@@ -157,7 +161,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         [cmd, source] if cmd == "idle-tail" => {
             let events = if source == "--canonical" {
-                bench::perf::canonical_fault_free_traced().1
+                bench::canonical::canonical_fault_free_traced().1
             } else {
                 load_events(source)?
             };
@@ -171,12 +175,18 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         [cmd, source] if cmd == "dump" && source == "--canonical" => {
-            let (_, events) = bench::perf::canonical_fault_free_traced();
+            let (_, events) = bench::canonical::canonical_fault_free_traced();
             outp!("{}", tracetools::render_jsonl(&events));
             Ok(ExitCode::SUCCESS)
         }
         [cmd, source] if cmd == "dump" && source == "--flight-canonical" => {
-            outp!("{}", bench::perf::canonical_flight_record());
+            outp!("{}", bench::canonical::canonical_flight_record());
+            Ok(ExitCode::SUCCESS)
+        }
+        [cmd, source] if cmd == "dump" && source == "--summary" => {
+            for report in bench::canonical::canonical_run_reports() {
+                outln!("{}", report.summary_table());
+            }
             Ok(ExitCode::SUCCESS)
         }
         [cmd, source, rest @ ..] if cmd == "dump" && source == "--flight-faulty" => {
@@ -187,11 +197,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("--flight-faulty: not a size: {n}\n{USAGE}"))?,
                 _ => return Err(USAGE.to_string()),
             };
-            outp!("{}", bench::perf::faulty_flight_record(n));
+            outp!("{}", bench::canonical::faulty_flight_record(n));
             Ok(ExitCode::SUCCESS)
         }
         [cmd] if cmd == "profile" => {
-            let (folded, table) = bench::perf::profile_canonical();
+            let (folded, table) = bench::canonical::profile_canonical();
             eprintln!("==> engine self-profile over the canonical scenarios");
             eprint!("{table}");
             outp!("{folded}");

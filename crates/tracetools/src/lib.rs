@@ -898,7 +898,7 @@ mod tests {
 
     #[test]
     fn run_report_checker_validates_the_canonical_reports() {
-        for report in bench::perf::canonical_run_reports() {
+        for report in bench::canonical::canonical_run_reports() {
             let v = check_run_report(&report.to_json());
             assert_eq!(v, Vec::<String>::new(), "report {}", report.label);
         }
@@ -914,7 +914,7 @@ mod tests {
 
     #[test]
     fn canonical_flight_record_parses_and_checks_clean() {
-        let dump = bench::perf::canonical_flight_record();
+        let dump = bench::canonical::canonical_flight_record();
         let rec = parse_flight(&dump).expect("canonical flight record must parse");
         assert_eq!(rec.version, congest::FLIGHT_RECORD_VERSION);
         assert_eq!(rec.n, 48);
@@ -928,7 +928,7 @@ mod tests {
 
     #[test]
     fn flight_tail_renders_totals_ring_and_sketches() {
-        let dump = bench::perf::canonical_flight_record();
+        let dump = bench::canonical::canonical_flight_record();
         let rec = parse_flight(&dump).expect("canonical flight record must parse");
         let tail = render_flight_tail(&rec);
         assert!(tail.starts_with("flight record v1: n=48"), "{tail}");
@@ -941,7 +941,7 @@ mod tests {
 
     #[test]
     fn flight_checker_flags_header_drift() {
-        let dump = bench::perf::canonical_flight_record();
+        let dump = bench::canonical::canonical_flight_record();
         // Claim one more retained ring round than the body closes.
         let drifted = dump.replacen(r#""ring_rounds":4"#, r#""ring_rounds":5"#, 1);
         let v = check_flight(&drifted);
@@ -964,7 +964,7 @@ mod tests {
 
     #[test]
     fn flight_sample_lines_parse_as_sends() {
-        let dump = bench::perf::canonical_flight_record();
+        let dump = bench::canonical::canonical_flight_record();
         let rec = parse_flight(&dump).expect("canonical flight record must parse");
         for ev in &rec.sampled_sends {
             assert!(matches!(ev, SimEvent::Send { .. }));
@@ -996,7 +996,7 @@ mod tests {
             )
         });
         assert_eq!(
-            bench::perf::canonical_flight_record(),
+            bench::canonical::canonical_flight_record(),
             want,
             "flight record drifted from its golden; if intentional, bump \
              FLIGHT_RECORD_VERSION and regenerate with UPDATE_GOLDEN=1"

@@ -79,7 +79,7 @@ fn longest_ending_at(
 
 #[test]
 fn analyzer_critical_path_matches_brute_force_on_the_canonical_run() {
-    let (_, events) = bench::perf::canonical_fault_free_traced();
+    let (_, events) = bench::canonical::canonical_fault_free_traced();
     assert!(!events.is_empty(), "canonical run recorded no events");
 
     // Round-trip through the on-disk format first: the analyzer input is

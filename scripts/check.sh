@@ -88,6 +88,21 @@ else
     echo "    one configuration, result, error and event surface (no engine setters)"
 fi
 
+# One bench harness: wall-clock timing lives in perfbench/ only. The
+# `perf` binary, its BENCH_*.json baselines, bench.sh and the criterion
+# shim with its benches are gone and must stay gone.
+echo "==> checking the removed bench harnesses are absent"
+harness='bench::perf|criterion|BENCH_|--bin perf|scripts/bench\.sh'
+if grep -rnE "$harness" src tests examples crates scripts Cargo.toml Cargo.lock \
+    --exclude-dir=target --exclude=check.sh 2>/dev/null \
+    || { ls -d BENCH_*.json crates/bench/benches vendor/criterion 2>/dev/null || true; } | grep .; then
+    echo "error: a removed bench harness reappeared; time runs with" \
+         "perfbench/ and keep check.sh's timing gates in crates/bench/tests/gates.rs" >&2
+    status=1
+else
+    echo "    one bench harness (perfbench/); no perf binary, BENCH files or criterion"
+fi
+
 # The CSR routing arena replaced the per-receiver scan of a per-node wire
 # list; no non-test code may reintroduce that pattern.
 echo "==> checking for the removed per-receiver wire-scan pattern"
@@ -226,27 +241,14 @@ else
     echo "    even-cycle drivers stage via prepare(); serve runs through Prepared"
 fi
 
-# Perf-regression smoke gate: smallest workload sizes (including the
-# E3-scale sharded-engine run at n = 10^4), generous tolerance
-# (debug-vs-release noise is not what this guards against — the release
-# binary is used; the gate skips itself when no comparable baseline
-# exists for this host).
+# Release-mode timing gates (crates/bench/tests/gates.rs, #[ignore]d so
+# debug runs skip them): the flight recorder may add at most +5% to the E1
+# row at n = 512 (median of 21 interleaved per-pair ratios, 0.5 ms floor),
+# and the E3-scale driver must complete at n = 10^4. One test thread, so
+# the e3 run cannot overlap the A/B.
 if [[ "$quick" -eq 0 ]]; then
-    echo "==> perf regression smoke gate"
-    cargo build --release -p bench --bin perf
-    ./target/release/perf --check --smoke --tolerance 60 || status=1
-
-    # Budgeted E3-scale smoke: the n = 10^6 trajectory must be walkable
-    # under a small wall-clock budget — the sweep doubles n from 10^4 and
-    # must complete at least its first size without error.
-    echo "==> budgeted e3_scale smoke (8s budget)"
-    budget_out="$(./target/release/perf --e3-budget-secs 8)" || status=1
-    if [[ -z "$budget_out" ]]; then
-        echo "error: e3 budget sweep produced no entries" >&2
-        status=1
-    else
-        echo "$budget_out" | sed 's/^/    /'
-    fi
+    echo "==> release timing gates (recorder overhead A/B, e3_scale smoke)"
+    cargo test --release -q -p bench --test gates -- --ignored --test-threads=1 || status=1
 fi
 
 # Trace-toolkit gates: the committed golden run reports must satisfy the

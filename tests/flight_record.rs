@@ -3,7 +3,7 @@
 //!
 //! The canonical flight record — the fault-free planted-`C_4` detector run
 //! with a small-capacity recorder, rendered by
-//! `bench::perf::canonical_flight_record()` — is compared byte-for-byte
+//! `bench::canonical::canonical_flight_record()` — is compared byte-for-byte
 //! against `tests/golden/flight_record.jsonl`. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test flight_record`.
 //!
@@ -62,7 +62,7 @@ fn faulty_flight_dump(shards: usize) -> String {
 
 #[test]
 fn canonical_flight_record_matches_golden() {
-    let dump = bench::perf::canonical_flight_record();
+    let dump = bench::canonical::canonical_flight_record();
     assert!(
         dump.starts_with(&format!(
             r#"{{"schema":"{}","version":{}"#,
@@ -153,7 +153,7 @@ fn degraded_run_writes_black_box_dump() {
 #[ignore = "subprocess helper for flight_dump_identical_across_thread_counts"]
 fn dump_flight_fixture() {
     println!("{BEGIN}");
-    print!("{}", bench::perf::canonical_flight_record());
+    print!("{}", bench::canonical::canonical_flight_record());
     for shards in [1, 2, 7] {
         print!("{}", faulty_flight_dump(shards));
     }

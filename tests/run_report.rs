@@ -5,9 +5,9 @@
 //! same detector behind the ARQ transport at 30 % message loss, and a
 //! planted-`C_4` instance under bursty Gilbert–Elliott loss behind the
 //! windowed transport — are rendered by
-//! `bench::perf::canonical_run_reports()` (the same generator the
-//! `perf --run-reports` export uses) and compared byte-for-byte against
-//! the checked-in goldens in `tests/golden/`. Regenerate with
+//! `bench::canonical::canonical_run_reports()` (the same generator
+//! `congest-trace dump --summary` renders) and compared byte-for-byte
+//! against the checked-in goldens in `tests/golden/`. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test run_report`.
 //!
 //! The pool sizes itself once per process from `RAYON_NUM_THREADS`, so the
@@ -29,7 +29,7 @@ fn golden_path(label: &str) -> PathBuf {
 
 #[test]
 fn canonical_run_reports_match_goldens() {
-    let reports = bench::perf::canonical_run_reports();
+    let reports = bench::canonical::canonical_run_reports();
     assert_eq!(reports.len(), 3);
     for report in &reports {
         let json = report.to_json();
@@ -58,7 +58,7 @@ fn canonical_run_reports_match_goldens() {
 
 #[test]
 fn fault_free_report_has_phase_breakdown() {
-    let report = bench::perf::canonical_fault_free_report();
+    let report = bench::canonical::canonical_fault_free_report();
     let json = report.to_json();
     assert!(json.contains(r#""name":"phase1""#));
     assert!(json.contains(r#""name":"phase2""#));
@@ -69,7 +69,7 @@ fn fault_free_report_has_phase_breakdown() {
 
 #[test]
 fn arq_loss_report_carries_transport_tallies() {
-    let report = bench::perf::canonical_arq_loss_report();
+    let report = bench::canonical::canonical_arq_loss_report();
     assert!(
         report.faults.retransmissions > 0,
         "30% loss must force retransmissions"
@@ -86,8 +86,9 @@ fn windowed_arq_beats_stop_and_wait_on_bursty_loss() {
     // scenario, the sliding-window transport must finish in at most 0.6x
     // the physical rounds of its stop-and-wait (window=1) counterpart,
     // read from the run reports' round counts.
-    let windowed = bench::perf::canonical_bursty_report(congest::ReliableConfig::default().window);
-    let stop_and_wait = bench::perf::canonical_bursty_report(1);
+    let windowed =
+        bench::canonical::canonical_bursty_report(congest::ReliableConfig::default().window);
+    let stop_and_wait = bench::canonical::canonical_bursty_report(1);
     assert!(
         windowed.rounds > 0 && stop_and_wait.rounds > 0,
         "both variants must actually run"
@@ -114,7 +115,7 @@ fn windowed_arq_beats_stop_and_wait_on_bursty_loss() {
 #[ignore = "subprocess helper for run_reports_identical_across_thread_counts"]
 fn dump_run_reports() {
     println!("{BEGIN}");
-    for report in bench::perf::canonical_run_reports() {
+    for report in bench::canonical::canonical_run_reports() {
         print!("{}", report.to_json());
     }
     println!("{END}");
