@@ -24,8 +24,8 @@ pub struct E1Row {
 
 /// E1 — Theorem 1.1: `C_2k` detection rounds vs `n`, against the linear
 /// baseline. `sizes` are the `n` values; detection uses `reps` repetitions.
-/// Runs the engine's production tuning (fused send pass + causal early
-/// termination); the reported `detector_rounds` is the *schedule's*
+/// Runs with causal early termination (the production tuning); the
+/// reported `detector_rounds` is the *schedule's*
 /// per-repetition round count, so the series is tuning-independent.
 /// `obs`, when given, rides every detector run (the flight-recorder arm of
 /// the overhead gate in `tests/gates.rs`); `None` is the bare run — same
@@ -625,9 +625,9 @@ pub fn scale_graph(n: usize, seed: u64) -> Graph {
 /// round count is linear in `n`, which is the whole point of the theorem).
 pub fn e3_scale(n: usize, shards: usize, seed: u64) -> ScaleRow {
     let g = scale_graph(n, seed);
-    // Production tuning: fused send pass (the default) plus causal early
-    // termination — the mostly-idle Phase II block windows are exactly the
-    // rounds ET exists to skip, and at census sizes they dominate.
+    // Production tuning: causal early termination — the mostly-idle
+    // Phase II block windows are exactly the rounds ET exists to skip, and
+    // at census sizes they dominate.
     let cfg = detection::EvenCycleConfig::new(2)
         .repetitions(1)
         .seed(seed)

@@ -3,7 +3,8 @@
 //! Drives a [`NodeAlgorithm`] over a topology, enforcing the CONGEST
 //! bandwidth bound per directed edge per round and recording exact traffic
 //! statistics. Nodes are partitioned into contiguous *shards*, each owning
-//! its own staging arena and inbox slab, so account → stage → deliver →
+//! its own staging arena and inbox slab, so the send sweep (bandwidth
+//! accounting and staging in one outbox drain), delivery, and the node
 //! step all run shard-parallel over the rayon pool with zero cross-shard
 //! locking (see the private `Shard` struct for the layout and the
 //! determinism argument).
@@ -19,8 +20,8 @@
 //! provenance that makes the trace a happens-before DAG (see
 //! [`crate::obsv::collect`]). An optional
 //! [`Profiler`](crate::obsv::Profiler) adds wall-clock spans around the
-//! accounting/staging/delivery/compute sections; with none installed each
-//! section costs one branch per round.
+//! round body (send sweep plus delivery) and the compute section; with
+//! none installed each section costs one branch per round.
 //!
 //! The engine itself is crate-private: the [`Simulation`](crate::Simulation)
 //! builder is the one way to configure and run it, and it returns the
@@ -48,8 +49,8 @@ use std::sync::Arc;
 /// Nodes are partitioned into `S` contiguous ranges (`starts[k] = k·n/S`),
 /// so a shard also owns a contiguous band of receiver-side directed-edge
 /// slots (`offsets[start]..offsets[end]` — the CSR offsets are monotone).
-/// Account, stage, deliver, and step each run one job per shard with zero
-/// cross-shard locking; the only data crossing a shard boundary are the
+/// The send sweep, delivery, and the node step each run one job per shard
+/// with zero cross-shard locking; the only data crossing a shard boundary are the
 /// per-`(src, dst)` mailboxes, which the destination shard merges in source
 /// shard order.
 ///
@@ -267,51 +268,6 @@ fn bucket<'a>(
     }
     let start = slot_start[rel_slot] as usize;
     &order[start..start + slot_len[rel_slot] as usize]
-}
-
-/// Stages one source shard's round of sends, draining its outboxes in
-/// place: unicast payloads move into the per-destination mailboxes, each
-/// broadcast payload is materialized once behind an `Arc`, and senders
-/// that broadcast are listed in `bcasters` so destination shards can stamp
-/// receiver activity. Returns the number of staged entries (unicasts plus
-/// broadcasts, each counted once). Allocation-free in steady state.
-#[allow(clippy::too_many_arguments)]
-fn stage_shard<M>(
-    start: u32,
-    g: &Graph,
-    offsets: &[u32],
-    rev_port: &[u32],
-    starts: &[u32],
-    outboxes: &mut [Outbox<M>],
-    bcasts: &mut [Vec<(u32, Arc<M>)>],
-    mail_row: &mut [Mail<M>],
-    bcasters: &mut Vec<u32>,
-) -> usize {
-    let mut staged = 0usize;
-    bcasters.clear();
-    for (local, outbox) in outboxes.iter_mut().enumerate() {
-        let u = start as usize + local;
-        let bc = &mut bcasts[local];
-        bc.clear();
-        for (idx, out) in outbox.drain(..).enumerate() {
-            match out {
-                Outgoing::Unicast(p, m) => {
-                    // Ports were validated during bandwidth accounting.
-                    let to = g.neighbors(u)[p as usize] as usize;
-                    let to_port = rev_port[offsets[u] as usize + p as usize];
-                    let slot = offsets[to] + to_port;
-                    let dst = shard_of(starts, to as u32);
-                    mail_row[dst].push((to as u32, slot, idx as u32, m));
-                }
-                Outgoing::Broadcast(m) => bc.push((idx as u32, Arc::new(m))),
-            }
-        }
-        if !bc.is_empty() {
-            bcasters.push(u as u32);
-        }
-        staged += bc.len();
-    }
-    staged + mail_row.iter().map(Vec::len).sum::<usize>()
 }
 
 /// Merges one destination shard's incoming mailboxes (in source shard
@@ -612,8 +568,8 @@ pub(crate) struct Engine<'a> {
     topology: &'a Graph,
     plan: &'a EnginePlan,
     /// The run's configuration, read directly; seed, faults, ids, shards,
-    /// fusion, early termination, broadcast-only mode and the profiler
-    /// all come from here.
+    /// early termination, broadcast-only mode and the profiler all come
+    /// from here.
     pub(crate) cfg: &'a SimConfig,
     /// The per-edge bound: the configured one, else `Θ(log n)`.
     pub(crate) bandwidth: Bandwidth,
@@ -861,96 +817,52 @@ impl<'a> Engine<'a> {
                 next_msg_id = next;
             }
 
-            // Account traffic + enforce bandwidth for this round's sends,
-            // one job per shard: each job owns its shard's window of the
-            // per-slot counters (disjoint splits of one flat array) and
-            // buffers its `Send` events. On the fused path (the default)
-            // the same sweep also stages the payloads; the reference path
-            // runs the original separate account and stage passes.
+            // The send sweep: account traffic, enforce bandwidth, buffer
+            // `Send` events and stage the payloads for this round's sends,
+            // one job per source shard. Each job owns its shard's window of
+            // the per-slot counters (disjoint splits of one flat array) and
+            // drains each sender's outbox once, moving payloads into the
+            // mailboxes / broadcast lists in the same touch — see
+            // [`Engine::fused_send_shard`]. When every outbox is empty the
+            // sweep would only walk empty headers, and the shard `acct_*`
+            // fields still hold the last busy round's already-merged
+            // values, so both the sweep and the merge are skipped.
             let before_bits = stats.total_bits;
             let before_msgs = stats.total_messages;
-            let (prof_fused, prof_legacy) = if cfg.fused {
-                (prof, None)
+            let t_fused = prof_start(prof);
+            let staged: usize = if outbox_nonempty == 0 {
+                0
             } else {
-                (None, prof)
-            };
-            let t_fused = prof_start(prof_fused);
-            let mut staged = 0usize;
-            if outbox_nonempty == 0 {
-                // Every outbox is empty: the sweep would only walk empty
-                // headers, and the shard `acct_*` fields still hold the
-                // last busy round's already-merged values — skip both the
-                // send passes and the merge below.
-            } else if cfg.fused {
-                // Fused account+stage: one parallel sweep per source shard
-                // drains each sender's outbox, charging bits, buffering
-                // `Send` events, and moving payloads into the mailboxes /
-                // broadcast lists in the same touch — see
-                // [`Engine::fused_send_shard`].
-                {
-                    let RunStats {
-                        offsets,
-                        directed_edge_bits,
-                        ..
-                    } = &mut stats;
-                    let offsets: &[u32] = offsets;
-                    let bit_windows = split_by_bounds(directed_edge_bits, &slot_bounds);
-                    let ob_windows = split_by_bounds(&mut outboxes, starts);
-                    let bc_windows = split_by_bounds(&mut broadcasts, starts);
-                    let id_base_ref = &id_base;
-                    let empty_deps_ref = &empty_deps;
-                    shards
-                        .par_iter_mut()
-                        .zip(bit_windows.into_par_iter())
-                        .zip(mail.par_iter_mut())
-                        .zip(bcasters.par_iter_mut())
-                        .zip(staged_counts.par_iter_mut())
-                        .zip(ob_windows.into_par_iter())
-                        .zip(bc_windows.into_par_iter())
-                        .for_each(
-                            |((((((shard, ebits), mail_row), bcst), count), obs), bcs)| {
-                                *count = self.fused_send_shard(
-                                    shard,
-                                    obs,
-                                    bcs,
-                                    mail_row,
-                                    bcst,
-                                    offsets,
-                                    rev_port,
-                                    starts,
-                                    ebits,
-                                    round,
-                                    tracing,
-                                    provenance,
-                                    empty_deps_ref,
-                                    id_base_ref,
-                                );
-                            },
-                        );
-                }
-                staged = staged_counts.iter().sum();
-            } else {
-                // Reference path, pass 1/3: account only.
-                let t_acct = prof_start(prof_legacy);
-                {
-                    let RunStats {
-                        offsets,
-                        directed_edge_bits,
-                        ..
-                    } = &mut stats;
-                    let offsets: &[u32] = offsets;
-                    let bit_windows = split_by_bounds(directed_edge_bits, &slot_bounds);
-                    let outboxes_ref = &outboxes;
-                    let id_base_ref = &id_base;
-                    let empty_deps_ref = &empty_deps;
-                    shards
-                        .par_iter_mut()
-                        .zip(bit_windows.into_par_iter())
-                        .for_each(|(shard, ebits)| {
-                            self.account_shard(
+                let RunStats {
+                    offsets,
+                    directed_edge_bits,
+                    ..
+                } = &mut stats;
+                let offsets: &[u32] = offsets;
+                let bit_windows = split_by_bounds(directed_edge_bits, &slot_bounds);
+                let ob_windows = split_by_bounds(&mut outboxes, starts);
+                let bc_windows = split_by_bounds(&mut broadcasts, starts);
+                let id_base_ref = &id_base;
+                let empty_deps_ref = &empty_deps;
+                shards
+                    .par_iter_mut()
+                    .zip(bit_windows.into_par_iter())
+                    .zip(mail.par_iter_mut())
+                    .zip(bcasters.par_iter_mut())
+                    .zip(staged_counts.par_iter_mut())
+                    .zip(ob_windows.into_par_iter())
+                    .zip(bc_windows.into_par_iter())
+                    .for_each(
+                        |((((((shard, ebits), mail_row), bcst), count), obs), bcs)| {
+                            *count = self.fused_send_shard(
                                 shard,
-                                outboxes_ref,
+                                obs,
+                                bcs,
+                                mail_row,
+                                bcst,
                                 offsets,
+                                rev_port,
+                                starts,
                                 ebits,
                                 round,
                                 tracing,
@@ -958,16 +870,12 @@ impl<'a> Engine<'a> {
                                 empty_deps_ref,
                                 id_base_ref,
                             );
-                        });
-                }
-                prof_record(prof_legacy, Section::Account, t_acct);
-            }
-            // Merge in shard (= node) order: totals, buffered Send events,
-            // and the lowest shard's error. Event buffers of shards past
-            // the erroring one are discarded — a sequential scan would
-            // never have reached those nodes.
-            if outbox_nonempty > 0 {
-                let mut acct_err = None;
+                        },
+                    );
+                // Merge in shard (= node) order: totals, buffered Send
+                // events, and the lowest shard's error. Event buffers of
+                // shards past the erroring one are discarded — a sequential
+                // scan would never have reached those nodes.
                 for shard in shards.iter_mut() {
                     stats.total_bits += shard.acct_bits;
                     stats.total_messages += shard.acct_msgs;
@@ -975,58 +883,18 @@ impl<'a> Engine<'a> {
                     for ev in shard.acct_events.drain(..) {
                         rec(ev);
                     }
-                    if shard.acct_err.is_some() {
-                        acct_err = shard.acct_err.take();
-                        break;
+                    if let Some(e) = shard.acct_err.take() {
+                        prof_record(prof, Section::Fused, t_fused);
+                        return Err(e);
                     }
                 }
-                if let Some(e) = acct_err {
-                    prof_record(prof_fused, Section::Fused, t_fused);
-                    return Err(e);
-                }
-            }
+                staged_counts.iter().sum()
+            };
             let round_bits = stats.total_bits - before_bits;
             let round_msgs = stats.total_messages - before_msgs;
             stats.per_round_bits.push(round_bits);
             stats.per_round_messages.push(round_msgs);
             stats.rounds = round;
-
-            if outbox_nonempty > 0 && !cfg.fused {
-                // Reference path, pass 2/3: stage this round's sends
-                // shard-parallel, draining the outboxes: unicast payloads
-                // move (no copy) into the per-(src, dst) mailboxes; each
-                // broadcast payload is materialized once behind an `Arc`
-                // instead of being cloned per receiving edge.
-                let t_stage = prof_start(prof_legacy);
-                {
-                    let offsets: &[u32] = &stats.offsets;
-                    let starts_ref = &starts;
-                    let rev_port_ref = &rev_port;
-                    let ob_windows = split_by_bounds(&mut outboxes, starts);
-                    let bc_windows = split_by_bounds(&mut broadcasts, starts);
-                    mail.par_iter_mut()
-                        .zip(bcasters.par_iter_mut())
-                        .zip(staged_counts.par_iter_mut())
-                        .zip(ob_windows.into_par_iter())
-                        .zip(bc_windows.into_par_iter())
-                        .enumerate()
-                        .for_each(|(k, ((((mail_row, bcst), count), obs), bcs))| {
-                            *count = stage_shard(
-                                starts_ref[k],
-                                g,
-                                offsets,
-                                rev_port_ref,
-                                starts_ref,
-                                obs,
-                                bcs,
-                                mail_row,
-                                bcst,
-                            );
-                        });
-                }
-                staged = staged_counts.iter().sum();
-                prof_record(prof_legacy, Section::Stage, t_stage);
-            }
 
             // Deliver shard-parallel: each destination shard merges its
             // incoming mailboxes (in source shard order), adjudicates every
@@ -1038,7 +906,6 @@ impl<'a> Engine<'a> {
             // (= node) order, so any collector sees the same stream at any
             // thread count and any shard count.
             let (mut round_dropped, mut round_corrupted) = (0u64, 0u64);
-            let t_deliver = prof_start(prof_legacy);
             if staged == 0 {
                 // All-idle round (nodes computing, nothing in flight):
                 // skip the delivery pass entirely. Nothing was delivered,
@@ -1113,8 +980,7 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            prof_record(prof_legacy, Section::Deliver, t_deliver);
-            prof_record(prof_fused, Section::Fused, t_fused);
+            prof_record(prof, Section::Fused, t_fused);
             report.dropped += round_dropped;
             report.corrupted += round_corrupted;
             report.dropped_per_round.push(round_dropped);
@@ -1211,148 +1077,11 @@ impl<'a> Engine<'a> {
         Ok((outcome, nodes))
     }
 
-    /// Sums per-port bits for one shard's senders, charges the shard's
-    /// window of the per-slot counters, enforces the bandwidth limit, and
-    /// buffers `Send` events — the per-shard job of the accounting pass.
-    ///
-    /// Writes only shard-owned state: `edge_bits` is the shard's disjoint
-    /// window of `RunStats::directed_edge_bits` (starting at slot
-    /// `shard.slot_base`), and the `acct_*` fields carry this shard's
-    /// totals, buffered events, and first error out of the parallel
-    /// section for the caller's in-order merge.
-    #[allow(clippy::too_many_arguments)]
-    fn account_shard<M: BitSize>(
-        &self,
-        shard: &mut Shard<M>,
-        outboxes: &[Outbox<M>],
-        offsets: &[u32],
-        edge_bits: &mut [u64],
-        round: usize,
-        tracing: bool,
-        provenance: bool,
-        empty_deps: &Arc<[u64]>,
-        id_base: &[u64],
-    ) {
-        let g = self.topology;
-        let broadcast_only = self.cfg.broadcast_only;
-        // Destructure for disjoint field borrows: `port_bits` scratch and
-        // `prev_ids` are read while the `acct_*` outputs are written.
-        let Shard {
-            start,
-            end,
-            slot_base,
-            prev_ids,
-            port_bits,
-            acct_events,
-            acct_bits,
-            acct_msgs,
-            acct_max,
-            acct_err,
-            ..
-        } = shard;
-        *acct_bits = 0;
-        *acct_msgs = 0;
-        *acct_max = 0;
-        *acct_err = None;
-        acct_events.clear();
-        let start = *start as usize;
-        let end = *end as usize;
-        let slot_base = *slot_base as usize;
-        for (local, outbox) in outboxes[start..end].iter().enumerate() {
-            if outbox.is_empty() {
-                continue;
-            }
-            let v = start + local;
-            let deg = g.degree(v);
-            port_bits.clear();
-            port_bits.resize(deg, 0);
-            let mut msgs = 0u64;
-            // All of v's sends this round read the same inbox, so they
-            // share one deps set (one Arc per active sender per round);
-            // without provenance every send shares the one empty set.
-            let sender_prov: Option<(u64, Arc<[u64]>)> = if tracing {
-                let deps = if provenance {
-                    Arc::from(prev_ids[local].as_slice())
-                } else {
-                    Arc::clone(empty_deps)
-                };
-                Some((id_base[v], deps))
-            } else {
-                None
-            };
-            for (idx, out) in outbox.iter().enumerate() {
-                match out {
-                    Outgoing::Unicast(p, m) => {
-                        if broadcast_only {
-                            *acct_err = Some(SimError::UnicastForbidden { node: v, round });
-                            return;
-                        }
-                        if *p as usize >= deg {
-                            *acct_err = Some(SimError::InvalidPort {
-                                node: v,
-                                port: *p as usize,
-                                degree: deg,
-                            });
-                            return;
-                        }
-                        port_bits[*p as usize] += m.bit_size() as u64;
-                        msgs += 1;
-                        if let Some((base, deps)) = &sender_prov {
-                            acct_events.push(SimEvent::Send {
-                                round,
-                                from: v,
-                                port: *p as usize,
-                                bits: m.bit_size(),
-                                msg_id: base + idx as u64,
-                                deps: Arc::clone(deps),
-                            });
-                        }
-                    }
-                    Outgoing::Broadcast(m) => {
-                        let sz = m.bit_size();
-                        for pb in port_bits.iter_mut() {
-                            *pb += sz as u64;
-                        }
-                        msgs += deg as u64;
-                        if let Some((base, deps)) = &sender_prov {
-                            acct_events.push(SimEvent::Send {
-                                round,
-                                from: v,
-                                port: usize::MAX,
-                                bits: sz,
-                                msg_id: base + idx as u64,
-                                deps: Arc::clone(deps),
-                            });
-                        }
-                    }
-                }
-            }
-            for (p, &bits) in port_bits.iter().enumerate() {
-                if let Bandwidth::Bits(limit) = self.bandwidth {
-                    if bits > limit as u64 {
-                        *acct_err = Some(SimError::BandwidthExceeded {
-                            node: v,
-                            port: p,
-                            attempted: bits as usize,
-                            limit,
-                            round,
-                        });
-                        return;
-                    }
-                }
-                edge_bits[offsets[v] as usize + p - slot_base] += bits;
-                *acct_bits += bits;
-                *acct_max = (*acct_max).max(bits as usize);
-            }
-            *acct_msgs += msgs;
-        }
-    }
-
     /// The fused account+stage job of one source shard: a single drain of
     /// each sender's outbox validates the port, charges the bits, buffers
     /// the `Send` event, and moves the payload into its destination
     /// mailbox (or the sender's broadcast `Arc` list) — one touch per
-    /// message where the reference path takes two full sweeps.
+    /// message.
     ///
     /// Bit accounting is word-parallel: broadcast bits accumulate in a
     /// single `u64` (every port carries the same broadcast load — O(1) per
@@ -1361,11 +1090,13 @@ impl<'a> Engine<'a> {
     /// sender is one limit check plus a vectorizable `+=` over its
     /// contiguous `directed_edge_bits` window.
     ///
-    /// Error identity matches the reference path exactly: per-entry errors
-    /// (forbidden unicast, invalid port) fire in outbox order, bandwidth
-    /// violations in port order after the sender's entries, and the `Send`
-    /// events buffered before the error are kept — the caller's in-order
-    /// merge then reproduces the sequential first-error semantics.
+    /// First error wins in the order node, then outbox entry, then port:
+    /// per-entry errors (forbidden unicast, invalid port) fire in outbox
+    /// order, bandwidth violations in port order after the sender's
+    /// entries, and the `Send` events buffered before the error are kept —
+    /// the caller's in-order merge then reproduces the sequential
+    /// first-error semantics (refereed against the naive engine in
+    /// `tests/sharding.rs`).
     /// Returns the staged-entry count (unicasts plus broadcasts).
     #[allow(clippy::too_many_arguments)]
     fn fused_send_shard<M: BitSize>(
@@ -1497,8 +1228,7 @@ impl<'a> Engine<'a> {
                 }
             }
             // Settle the sender's bandwidth in port order (a degree-0
-            // sender has no ports, hence nothing to check or charge —
-            // same as the reference path's empty port loop).
+            // sender has no ports, hence nothing to check or charge).
             let ebase = offsets[v] as usize - slot_base;
             if !have_uni {
                 if deg > 0 {

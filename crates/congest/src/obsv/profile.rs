@@ -21,20 +21,14 @@ use std::time::Instant;
 /// The instrumented sections of the simulator hot paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
-    /// `engine.rs`: per-round send accounting (bandwidth checks, traffic
-    /// counters, trace emission). Recorded only on the pre-fusion
-    /// three-pass reference path (`Simulation::fused(false)`).
+    /// `cliquemodel.rs`: per-round send accounting (bandwidth checks,
+    /// traffic counters, trace emission).
     Account,
-    /// `engine.rs`: `RoundRouter` staging — counting-sort of unicasts into
-    /// the CSR arena and broadcast materialization. Pre-fusion path only.
-    Stage,
-    /// `engine.rs` / `cliquemodel.rs`: delivery — merging staged messages
-    /// into inboxes, fault adjudication included. On the fused engine path
-    /// only the clique backend records it.
+    /// `cliquemodel.rs`: delivery — merging sent messages into inboxes.
     Deliver,
-    /// `engine.rs`: the fused single-sweep round body (the default path) —
-    /// account + stage in one outbox drain, then transpose + delivery, all
-    /// under one span.
+    /// `engine.rs`: the CONGEST round body — the send sweep (accounting
+    /// and staging in one outbox drain), then transpose + delivery with
+    /// fault adjudication, all under one span.
     Fused,
     /// Both backends: the node-compute section (`init`/`on_round` over all
     /// nodes, parallel schedule included).
@@ -45,9 +39,8 @@ pub enum Section {
 }
 
 /// All sections, in display order.
-pub const SECTIONS: [Section; 6] = [
+pub const SECTIONS: [Section; 5] = [
     Section::Account,
-    Section::Stage,
     Section::Deliver,
     Section::Fused,
     Section::Compute,
@@ -59,7 +52,6 @@ impl Section {
     pub fn name(self) -> &'static str {
         match self {
             Section::Account => "account",
-            Section::Stage => "stage",
             Section::Deliver => "deliver",
             Section::Fused => "fused",
             Section::Compute => "compute",
@@ -67,15 +59,9 @@ impl Section {
         }
     }
 
+    /// Position in [`SECTIONS`] (the declaration order).
     fn index(self) -> usize {
-        match self {
-            Section::Account => 0,
-            Section::Stage => 1,
-            Section::Deliver => 2,
-            Section::Fused => 3,
-            Section::Compute => 4,
-            Section::ArqRetransmit => 5,
-        }
+        self as usize
     }
 }
 
@@ -87,7 +73,7 @@ impl Section {
 /// are recorded once per round (or per node-round), not per message.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    sections: [Mutex<SectionStats>; 6],
+    sections: [Mutex<SectionStats>; 5],
 }
 
 #[derive(Debug, Default)]
@@ -206,11 +192,11 @@ mod tests {
     #[test]
     fn records_spans_per_section() {
         let p = Profiler::new();
-        p.record_nanos(Section::Stage, 1_000);
-        p.record_nanos(Section::Stage, 3_000);
+        p.record_nanos(Section::Fused, 1_000);
+        p.record_nanos(Section::Fused, 3_000);
         p.record_nanos(Section::Deliver, 500);
-        assert_eq!(p.histogram(Section::Stage).count(), 2);
-        assert_eq!(p.total_nanos(Section::Stage), 4_000);
+        assert_eq!(p.histogram(Section::Fused).count(), 2);
+        assert_eq!(p.total_nanos(Section::Fused), 4_000);
         assert_eq!(p.histogram(Section::Deliver).count(), 1);
         assert_eq!(p.histogram(Section::Account).count(), 0);
     }
@@ -236,25 +222,25 @@ mod tests {
         p.install_into(&mut m);
         let snap = m.snapshot();
         assert!(snap.get("profile.account_nanos").is_some());
-        assert!(snap.get("profile.stage_nanos").is_none());
+        assert!(snap.get("profile.fused_nanos").is_none());
     }
 
     #[test]
     fn summary_table_lists_only_active_sections() {
         let p = Profiler::new();
-        p.record_nanos(Section::Stage, 2_000_000);
+        p.record_nanos(Section::Fused, 2_000_000);
         let table = p.summary_table();
-        assert!(table.contains("stage"), "{table}");
+        assert!(table.contains("fused"), "{table}");
         assert!(!table.contains("deliver"), "{table}");
     }
 
     #[test]
     fn disabled_helpers_are_noops() {
         assert!(prof_start(None).is_none());
-        prof_record(None, Section::Stage, None);
+        prof_record(None, Section::Fused, None);
         let p = Profiler::new();
         let t = prof_start(Some(&p));
-        prof_record(Some(&p), Section::Stage, t);
-        assert_eq!(p.histogram(Section::Stage).count(), 1);
+        prof_record(Some(&p), Section::Fused, t);
+        assert_eq!(p.histogram(Section::Fused).count(), 1);
     }
 }

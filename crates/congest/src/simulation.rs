@@ -333,7 +333,6 @@ pub(crate) struct SimConfig {
     pub(crate) timed: bool,
     pub(crate) profiler: Option<Arc<Profiler>>,
     pub(crate) shards: usize,
-    pub(crate) fused: bool,
     pub(crate) early_termination: bool,
 }
 
@@ -352,7 +351,6 @@ impl Default for SimConfig {
             timed: false,
             profiler: None,
             shards: 0,
-            fused: true,
             early_termination: false,
         }
     }
@@ -659,7 +657,11 @@ impl<'g> Simulation<'g> {
         self
     }
 
-    /// Seeds all node RNGs (and the fault models).
+    /// Seeds all node RNGs (and the fault models). Node `v`'s RNG is a
+    /// function of `(seed, v)` alone: `ChaCha8Rng::seed_from_u64(s0 ^ v ·
+    /// 0x9E3779B97F4A7C15)` (wrapping multiply), where `s0` is the first
+    /// `u64` drawn from `ChaCha8Rng::seed_from_u64(seed)`. No shard or
+    /// thread count can change what a node draws.
     pub fn seed(mut self, s: u64) -> Self {
         self.cfg.seed = s;
         self
@@ -671,17 +673,6 @@ impl<'g> Simulation<'g> {
     /// fault outcomes — is identical at any value.
     pub fn shards(mut self, s: usize) -> Self {
         self.cfg.shards = s;
-        self
-    }
-
-    /// Selects the CONGEST engine's round-body implementation: `true`
-    /// (the default) runs the fused single-sweep pass, `false` the
-    /// pre-fusion three-pass reference. Outcomes are byte-identical either
-    /// way (pinned by the fused-pass referee in `tests/sharding.rs`); the
-    /// reference path exists as that referee's oracle and as the "before"
-    /// side of profiler comparisons.
-    pub fn fused(mut self, on: bool) -> Self {
-        self.cfg.fused = on;
         self
     }
 
@@ -1024,38 +1015,17 @@ mod tests {
             .profiler(prof.clone())
             .run(|_| beacon())
             .unwrap();
-        // The default (fused) path times the whole round body under one
-        // span; the three pre-fusion sections stay empty.
+        // The round body (send sweep plus delivery) is timed under one
+        // span; the clique backend's account and deliver sections stay
+        // empty on a CONGEST run.
         for key in ["profile.fused_nanos", "profile.compute_nanos"] {
             assert!(out.metrics.hist(key).is_some(), "missing {key}");
         }
-        for key in [
-            "profile.account_nanos",
-            "profile.stage_nanos",
-            "profile.deliver_nanos",
-        ] {
+        for key in ["profile.account_nanos", "profile.deliver_nanos"] {
             assert!(out.metrics.hist(key).is_none(), "unexpected {key}");
         }
         assert!(out.metrics.hist("profile.arq_retransmit_nanos").is_none());
         assert!(!prof.folded_stacks("congest").is_empty());
-        // The reference path keeps the original three spans (and records
-        // no fused span).
-        let legacy_prof = Arc::new(Profiler::new());
-        let legacy = Simulation::on(&g)
-            .bandwidth(Bandwidth::Bits(64))
-            .fused(false)
-            .profiler(legacy_prof)
-            .run(|_| beacon())
-            .unwrap();
-        for key in [
-            "profile.account_nanos",
-            "profile.stage_nanos",
-            "profile.deliver_nanos",
-            "profile.compute_nanos",
-        ] {
-            assert!(legacy.metrics.hist(key).is_some(), "missing {key}");
-        }
-        assert!(legacy.metrics.hist("profile.fused_nanos").is_none());
         // Unprofiled runs carry no profile.* entries.
         let plain = Simulation::on(&g)
             .bandwidth(Bandwidth::Bits(64))

@@ -2,12 +2,15 @@
 //!
 //! * A property test drives scripted nodes through random unicast/broadcast
 //!   mixes and checks that the engine's per-receiver delivery produces
-//!   exactly the inbox a naive reference implementation computes — the same
-//!   `(port, payload)` pairs in the same order (port ascending, sender
-//!   outbox order within a port).
+//!   exactly the inboxes the naive engine in `naive/mod.rs` computes by
+//!   rescanning every neighbor's whole outbox — the same `(port, payload)`
+//!   pairs in the same order (port ascending, sender outbox order within a
+//!   port).
 //! * A corrupt-broadcast test pins the zero-copy contract: when one
 //!   delivery of a broadcast is corrupted, that receiver gets its own deep
 //!   copy while every other receiver still shares the pristine `Arc`.
+
+mod naive;
 
 use std::sync::{Arc, Mutex};
 
@@ -99,36 +102,6 @@ fn random_plans(g: &Graph, rounds: usize, seed: u64) -> Vec<Vec<Outbox<BitString
         .collect()
 }
 
-/// The naive reference delivery: each receiver rescans every neighbor's
-/// whole outbox — the exact per-receiver `wires[u]` scan the routing arena
-/// replaced. Inbox order: port ascending, sender outbox order within a port.
-fn reference_logs(g: &Graph, plans: &[Vec<Outbox<BitString>>], rounds: usize) -> Vec<Log> {
-    (0..g.n())
-        .map(|v| {
-            (0..rounds)
-                .map(|r| {
-                    let mut inbox = Vec::new();
-                    for (p, &u) in g.neighbors(v).iter().enumerate() {
-                        let u = u as usize;
-                        for out in &plans[u][r] {
-                            match out {
-                                Outgoing::Unicast(port, m)
-                                    if g.neighbors(u)[*port as usize] as usize == v =>
-                                {
-                                    inbox.push((p as u32, m.to_uint()));
-                                }
-                                Outgoing::Broadcast(m) => inbox.push((p as u32, m.to_uint())),
-                                _ => {}
-                            }
-                        }
-                    }
-                    inbox
-                })
-                .collect()
-        })
-        .collect()
-}
-
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (3usize..12).prop_flat_map(|n| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 1..30)
@@ -138,24 +111,37 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 
 fn check_routing_matches_reference(g: &Graph, rounds: usize, seed: u64) {
     let plans = random_plans(g, rounds, seed);
-    let logs: Vec<Arc<Mutex<Log>>> = (0..g.n())
-        .map(|_| Arc::new(Mutex::new(Vec::new())))
-        .collect();
-    let plans_ref = &plans;
-    let logs_ref = &logs;
+    let new_logs = || -> Vec<Arc<Mutex<Log>>> {
+        (0..g.n())
+            .map(|_| Arc::new(Mutex::new(Vec::new())))
+            .collect()
+    };
+    let scripted = |logs: &[Arc<Mutex<Log>>], v: usize| ScriptedNode {
+        plan: plans[v].clone(),
+        log: Arc::clone(&logs[v]),
+        done: false,
+    };
+    let logs = new_logs();
     Simulation::on(g)
         .bandwidth(Bandwidth::Unbounded)
         .max_rounds(rounds + 2)
-        .run(|v| ScriptedNode {
-            plan: plans_ref[v].clone(),
-            log: Arc::clone(&logs_ref[v]),
-            done: false,
-        })
+        .run(|v| scripted(&logs, v))
         .unwrap();
-    let expected = reference_logs(g, &plans, rounds);
+    let expected = new_logs();
+    let cfg = naive::Config {
+        bandwidth: Bandwidth::Unbounded,
+        seed: 0,
+        max_rounds: rounds + 2,
+        faults: FaultSpec::None,
+        broadcast_only: false,
+    };
+    naive::run(g, &cfg, |v| scripted(&expected, v))
+        .result
+        .unwrap();
     for v in 0..g.n() {
         let got = logs[v].lock().unwrap().clone();
-        assert_eq!(got, expected[v], "node {v} inbox mismatch (seed {seed})");
+        let want = expected[v].lock().unwrap().clone();
+        assert_eq!(got, want, "node {v} inbox mismatch (seed {seed})");
     }
 }
 

@@ -1,19 +1,20 @@
-//! The sharding and fusion referee: the sharded round engine must be
-//! *byte-identical* to the 1-shard reference at every shard count, and the
-//! fused single-sweep send pass must be byte-identical to the pre-fusion
-//! account → stage → deliver reference.
+//! The engine referee: the sharded round engine must be *byte-identical*
+//! to the naive CONGEST round in `naive/mod.rs` at every shard count.
 //!
-//! The shard count only changes how the send passes are parallelized, and
-//! the fusion flag only changes how many sweeps they take; every
-//! observable of a run — per-node inboxes (content *and* order), the full
-//! structured event stream, fault tallies and their per-round series, and
-//! the traffic stats — must not move. check.sh runs this suite under
-//! `RAYON_NUM_THREADS=1` and `=4`, so the matrix covers shard counts ×
-//! thread counts × {fused, pre-fusion}.
+//! The naive engine is one sequential loop per round over the public API
+//! only, so it shares no code with the sharded engine: no arenas, no
+//! staging, no mailboxes, no fused send sweep. Every observable of a run —
+//! per-node inboxes (content *and* order), the full structured event
+//! stream, fault tallies and their per-round series, the traffic stats,
+//! and on a failing run the first error and the events before it — must
+//! match. check.sh runs this suite under `RAYON_NUM_THREADS=1` and `=4`,
+//! so the matrix covers shard counts × thread counts.
+
+mod naive;
 
 use congest::{
     Bandwidth, BitString, CrashStop, Decision, EventLog, FaultSpec, Inbox, NodeAlgorithm,
-    NodeContext, Outbox, Outgoing, SimEvent, Simulation,
+    NodeContext, Outbox, Outgoing, SimError, SimEvent, Simulation,
 };
 use graphlib::{generators, Graph};
 use proptest::prelude::*;
@@ -25,6 +26,20 @@ use std::sync::{Arc, Mutex};
 /// triples in arrival order.
 type NodeLog = Arc<Mutex<Vec<Vec<(usize, u32, u64)>>>>;
 
+/// The per-edge bound of every run here: 16 default-width messages.
+const BANDWIDTH: usize = 256;
+
+/// A deliberate send error, made by one node in one round.
+#[derive(Clone, Copy, Debug)]
+enum Rogue {
+    /// A unicast to port `degree`, one past the last port.
+    BadPort,
+    /// A broadcast wider than the bandwidth bound on its own.
+    WideBroadcast,
+    /// A unicast wider than the bandwidth bound, to port `pos % degree`.
+    WideUnicast,
+}
+
 /// Sends RNG-driven unicasts and broadcasts for `rounds` rounds while
 /// logging every inbox it sees. Node RNG streams depend only on
 /// `(seed, node)`, so the traffic pattern itself is shard-independent;
@@ -34,24 +49,40 @@ struct Gossip {
     rounds: usize,
     done: bool,
     log: NodeLog,
+    /// `(round, pos, kind)`: in `round` (0 = `init`), insert a `kind`
+    /// entry at `pos` (mod the outbox length + 1) of the outbox.
+    rogue: Option<(usize, usize, Rogue)>,
 }
 
 impl Gossip {
     fn chatter(&self, ctx: &NodeContext, rng: &mut ChaCha8Rng) -> Outbox<BitString> {
         let deg = ctx.degree();
-        if deg == 0 {
-            return Vec::new();
+        let mut out: Outbox<BitString> = if deg == 0 {
+            Vec::new()
+        } else {
+            (0..rng.gen_range(0..=3usize))
+                .map(|_| {
+                    let m = BitString::from_uint(rng.gen::<u64>() & 0xFFFF, 16);
+                    if rng.gen_bool(0.4) {
+                        Outgoing::Broadcast(m)
+                    } else {
+                        Outgoing::Unicast(rng.gen_range(0..deg) as u32, m)
+                    }
+                })
+                .collect()
+        };
+        if let Some((round, pos, kind)) = self.rogue {
+            if round == ctx.round {
+                let wide = BitString::from_bits(&[true; BANDWIDTH + 1]);
+                let bad = match kind {
+                    Rogue::BadPort => Outgoing::Unicast(deg as u32, BitString::from_uint(1, 16)),
+                    Rogue::WideBroadcast => Outgoing::Broadcast(wide),
+                    Rogue::WideUnicast => Outgoing::Unicast((pos % deg.max(1)) as u32, wide),
+                };
+                out.insert(pos % (out.len() + 1), bad);
+            }
         }
-        (0..rng.gen_range(0..=3usize))
-            .map(|_| {
-                let m = BitString::from_uint(rng.gen::<u64>() & 0xFFFF, 16);
-                if rng.gen_bool(0.4) {
-                    Outgoing::Broadcast(m)
-                } else {
-                    Outgoing::Unicast(rng.gen_range(0..deg) as u32, m)
-                }
-            })
-            .collect()
+        out
     }
 }
 
@@ -106,44 +137,104 @@ struct Observed {
     crashed: Vec<(usize, usize)>,
 }
 
-fn observe(
-    g: &Graph,
+/// A failed run: its first error and the events recorded before it.
+type Failed = (SimError, Vec<SimEvent>);
+
+/// One run's setup, played by the sharded engine and the naive referee.
+struct Setup<'a> {
+    g: &'a Graph,
     seed: u64,
     rounds: usize,
-    faults: &FaultSpec,
-    shards: usize,
-    fused: bool,
-) -> Observed {
-    let logs: Vec<NodeLog> = (0..g.n())
-        .map(|_| Arc::new(Mutex::new(Vec::new())))
-        .collect();
-    let events = Arc::new(EventLog::new());
-    let out = Simulation::on(g)
-        .bandwidth(Bandwidth::Bits(256))
-        .seed(seed)
-        .shards(shards)
-        .fused(fused)
-        .faults(faults.clone())
-        .collector_arc(events.clone())
-        .max_rounds(rounds + 2)
-        .run(|v| Gossip {
+    faults: FaultSpec,
+    broadcast_only: bool,
+    /// Per node, the send error it makes, if any.
+    rogues: Vec<Option<(usize, usize, Rogue)>>,
+}
+
+impl<'a> Setup<'a> {
+    fn new(g: &'a Graph, seed: u64, rounds: usize, faults: FaultSpec) -> Self {
+        Setup {
+            g,
+            seed,
             rounds,
+            faults,
+            broadcast_only: false,
+            rogues: vec![None; g.n()],
+        }
+    }
+
+    fn logs(&self) -> Vec<NodeLog> {
+        (0..self.g.n())
+            .map(|_| Arc::new(Mutex::new(Vec::new())))
+            .collect()
+    }
+
+    fn node(&self, v: usize, logs: &[NodeLog]) -> Gossip {
+        Gossip {
+            rounds: self.rounds,
             done: false,
             log: Arc::clone(&logs[v]),
+            rogue: self.rogues[v],
+        }
+    }
+
+    /// The sharded engine at `shards`.
+    fn engine(&self, shards: usize) -> Result<Observed, Failed> {
+        let logs = self.logs();
+        let events = Arc::new(EventLog::new());
+        let out = Simulation::on(self.g)
+            .bandwidth(Bandwidth::Bits(BANDWIDTH))
+            .seed(self.seed)
+            .shards(shards)
+            .broadcast_only(self.broadcast_only)
+            .faults(self.faults.clone())
+            .collector_arc(events.clone())
+            .max_rounds(self.rounds + 2)
+            .run(|v| self.node(v, &logs))
+            .map_err(|e| (e, events.take()))?;
+        Ok(Observed {
+            inboxes: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
+            events: events.take(),
+            total_bits: out.stats.total_bits,
+            per_round_bits: out.stats.per_round_bits.clone(),
+            directed_edge_bits: out.stats.directed_edge_bits.clone(),
+            delivered: out.faults.delivered,
+            dropped: out.faults.dropped,
+            corrupted: out.faults.corrupted,
+            dropped_per_round: out.faults.dropped_per_round.clone(),
+            corrupted_per_round: out.faults.corrupted_per_round.clone(),
+            crashed: out.faults.crashed.clone(),
         })
-        .unwrap();
-    Observed {
-        inboxes: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
-        events: events.take(),
-        total_bits: out.stats.total_bits,
-        per_round_bits: out.stats.per_round_bits.clone(),
-        directed_edge_bits: out.stats.directed_edge_bits.clone(),
-        delivered: out.faults.delivered,
-        dropped: out.faults.dropped,
-        corrupted: out.faults.corrupted,
-        dropped_per_round: out.faults.dropped_per_round.clone(),
-        corrupted_per_round: out.faults.corrupted_per_round.clone(),
-        crashed: out.faults.crashed.clone(),
+    }
+
+    /// The naive referee.
+    fn naive(&self) -> Result<Observed, Failed> {
+        let logs = self.logs();
+        let cfg = naive::Config {
+            bandwidth: Bandwidth::Bits(BANDWIDTH),
+            seed: self.seed,
+            max_rounds: self.rounds + 2,
+            faults: self.faults.clone(),
+            broadcast_only: self.broadcast_only,
+        };
+        let run = naive::run(self.g, &cfg, |v| self.node(v, &logs));
+        let t = match run.result {
+            Ok(t) => t,
+            Err(e) => return Err((e, run.events)),
+        };
+        Ok(Observed {
+            inboxes: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
+            events: run.events,
+            total_bits: t.total_bits,
+            per_round_bits: t.per_round_bits,
+            directed_edge_bits: t.directed_edge_bits,
+            delivered: t.delivered,
+            dropped: t.dropped,
+            corrupted: t.corrupted,
+            dropped_per_round: t.dropped_per_round,
+            corrupted_per_round: t.corrupted_per_round,
+            crashed: t.crashed,
+        })
     }
 }
 
@@ -154,52 +245,57 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Loss + corruption + one crash in round 2.
+fn fault_stack(g: &Graph, loss: f64, flip: f64) -> FaultSpec {
+    FaultSpec::Stack(vec![
+        FaultSpec::IndependentLoss(loss),
+        FaultSpec::BitFlip(flip),
+        FaultSpec::CrashStop(CrashStop::at(vec![(g.n() / 2, 2)])),
+    ])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // The full referee: loss + corruption + a crash, inboxes, the raw
-    // event stream, and every tally pinned across shard counts {1, 2, 7}.
+    // event stream, and every tally pinned at shard counts {1, 2, 7}.
     #[test]
-    fn sharded_run_is_byte_identical_to_one_shard(
+    fn sharded_run_is_byte_identical_to_naive_engine(
         g in arb_graph(),
         seed in any::<u64>(),
         rounds in 1usize..4,
         loss in 0.0f64..0.5,
         flip in 0.0f64..0.3,
     ) {
-        let faults = FaultSpec::Stack(vec![
-            FaultSpec::IndependentLoss(loss),
-            FaultSpec::BitFlip(flip),
-            FaultSpec::CrashStop(CrashStop::at(vec![(g.n() / 2, 2)])),
-        ]);
-        let reference = observe(&g, seed, rounds, &faults, 1, true);
-        for shards in [2usize, 7] {
-            let run = observe(&g, seed, rounds, &faults, shards, true);
-            prop_assert_eq!(&run, &reference, "shards = {}", shards);
+        let setup = Setup::new(&g, seed, rounds, fault_stack(&g, loss, flip));
+        let reference = setup.naive();
+        prop_assert!(reference.is_ok(), "{:?}", reference.as_ref().err());
+        for shards in [1usize, 2, 7] {
+            prop_assert_eq!(&setup.engine(shards), &reference, "shards = {}", shards);
         }
     }
 
-    // The fusion referee: the fused single-sweep send pass against the
-    // pre-fusion three-pass reference, across shard counts, under the same
-    // loss + corruption + crash stack. Any divergence in accounting order,
-    // fault adjudication, or delivery interleaving shows up here.
+    // Send-error identity: a few nodes send to port `degree` or over the
+    // bound (and sometimes every unicast is forbidden), and the engine
+    // must fail with the naive engine's first error — node, then outbox
+    // entry, then port — after recording the same events.
     #[test]
-    fn fused_run_is_byte_identical_to_prefusion_reference(
+    fn send_errors_match_naive_engine(
         g in arb_graph(),
         seed in any::<u64>(),
         rounds in 1usize..4,
-        loss in 0.0f64..0.5,
-        flip in 0.0f64..0.3,
+        rogues in proptest::collection::vec((0usize..14, 0usize..3, 0usize..5, 0usize..3), 1..4),
+        forbid in 0usize..4,
     ) {
-        let faults = FaultSpec::Stack(vec![
-            FaultSpec::IndependentLoss(loss),
-            FaultSpec::BitFlip(flip),
-            FaultSpec::CrashStop(CrashStop::at(vec![(g.n() / 2, 2)])),
-        ]);
-        let reference = observe(&g, seed, rounds, &faults, 1, false);
+        let mut setup = Setup::new(&g, seed, rounds, fault_stack(&g, 0.2, 0.1));
+        setup.broadcast_only = forbid == 0;
+        for (v, round, pos, kind) in rogues {
+            let kind = [Rogue::BadPort, Rogue::WideBroadcast, Rogue::WideUnicast][kind];
+            setup.rogues[v % g.n()] = Some((round, pos, kind));
+        }
+        let reference = setup.naive();
         for shards in [1usize, 2, 7] {
-            let run = observe(&g, seed, rounds, &faults, shards, true);
-            prop_assert_eq!(&run, &reference, "fused, shards = {}", shards);
+            prop_assert_eq!(&setup.engine(shards), &reference, "shards = {}", shards);
         }
     }
 }
@@ -213,12 +309,15 @@ fn shard_matrix_spot_check() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let g = generators::bounded_degree(n, d, &mut rng);
         for faults in [FaultSpec::None, FaultSpec::IndependentLoss(0.3)] {
-            // The pre-fusion single-shard run anchors both referees: the
-            // fused engine must match it at every shard count.
-            let reference = observe(&g, 5, 3, &faults, 1, false);
+            let setup = Setup::new(&g, 5, 3, faults);
+            let reference = setup.naive();
+            assert!(reference.is_ok(), "n = {n}");
             for shards in [1usize, 2, 7, 64, 1000] {
-                let run = observe(&g, 5, 3, &faults, shards, true);
-                assert_eq!(run, reference, "n = {n}, shards = {shards}");
+                assert_eq!(
+                    setup.engine(shards),
+                    reference,
+                    "n = {n}, shards = {shards}"
+                );
             }
         }
     }

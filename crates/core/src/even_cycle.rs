@@ -64,11 +64,6 @@ pub struct EvenCycleConfig {
     /// off for golden-file and referee comparisons. The faulty driver
     /// ignores it — a pending crash schedule must be allowed to fire.
     pub early_termination: bool,
-    /// Run the engine's fused single-sweep send pass (the default). `false`
-    /// selects the pre-fusion account → stage → deliver reference path —
-    /// byte-identical by the fusion referee, kept as the oracle for A/B
-    /// benchmarking and for the referee tests themselves.
-    pub fused: bool,
 }
 
 impl EvenCycleConfig {
@@ -83,7 +78,6 @@ impl EvenCycleConfig {
             edge_bound_override: None,
             shards: 0,
             early_termination: false,
-            fused: true,
         }
     }
 
@@ -115,13 +109,6 @@ impl EvenCycleConfig {
     /// [`EvenCycleConfig::early_termination`]).
     pub fn early_termination(mut self, on: bool) -> Self {
         self.early_termination = on;
-        self
-    }
-
-    /// Selects the fused or pre-fusion send pass (see
-    /// [`EvenCycleConfig::fused`]).
-    pub fn fused(mut self, on: bool) -> Self {
-        self.fused = on;
         self
     }
 }
@@ -878,22 +865,21 @@ pub fn detect_even_cycle_observed(
 
 /// The staged (but not yet prepared) fault-free detector simulation —
 /// every topology-pure knob the amplification loop fixes up front:
-/// bandwidth (derived from the schedule), shard count, the fusion
-/// selector, and the early-termination flag.
+/// bandwidth (derived from the schedule), shard count, and the
+/// early-termination flag.
 fn stage_even_cycle<'g>(g: &'g Graph, cfg: &EvenCycleConfig) -> Simulation<'g> {
     assert!(cfg.k >= 2);
     let sched = Schedule::derive(g.n(), cfg.k, cfg.edge_bound_override);
     Simulation::on(g)
         .bandwidth(Bandwidth::Bits(sched.required_bandwidth.max(8)))
         .shards(cfg.shards)
-        .fused(cfg.fused)
         .early_termination(cfg.early_termination)
 }
 
 /// Stages the fault-free detector's topology once, for reuse across many
 /// [`detect_even_cycle_prepared`] calls. The staged configuration is a
 /// pure function of the graph and the config's topology knobs (`k`,
-/// `edge_bound_override`, `shards`, `fused`, `early_termination`) —
+/// `edge_bound_override`, `shards`, `early_termination`) —
 /// `seed` and `repetitions` ride in per run — so a service can cache the returned
 /// handle keyed on those and skip the plan rebuild per query.
 pub fn prepare_even_cycle(g: &Graph, cfg: &EvenCycleConfig) -> congest::Prepared {

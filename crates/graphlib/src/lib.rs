@@ -24,7 +24,6 @@ pub mod hash;
 pub mod io;
 pub mod iso;
 pub mod turan;
-pub mod ullmann;
 
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use hash::{FxHashMap, FxHashSet};

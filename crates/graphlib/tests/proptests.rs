@@ -12,6 +12,41 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The VF2 referee: a plain backtracking search over injections of the
+/// pattern's vertices (in index order) into the host's, with no refinement
+/// and no candidate filtering. Each pattern edge is checked once, when its
+/// later endpoint is placed. The only early exit is the first complete
+/// embedding, so `None` means every injection was tried.
+fn brute_force_embedding(pat: &Graph, host: &Graph) -> Option<Vec<u32>> {
+    fn extend(pat: &Graph, host: &Graph, phi: &mut Vec<u32>, used: &mut [bool]) -> bool {
+        let u = phi.len();
+        if u == pat.n() {
+            return true;
+        }
+        for t in 0..host.n() {
+            let edges_hold = pat
+                .neighbors(u)
+                .iter()
+                .filter(|&&w| (w as usize) < u)
+                .all(|&w| host.has_edge(t, phi[w as usize] as usize));
+            if used[t] || !edges_hold {
+                continue;
+            }
+            used[t] = true;
+            phi.push(t as u32);
+            if extend(pat, host, phi, used) {
+                return true;
+            }
+            phi.pop();
+            used[t] = false;
+        }
+        false
+    }
+    let mut phi = Vec::with_capacity(pat.n());
+    let mut used = vec![false; host.n()];
+    extend(pat, host, &mut phi, &mut used).then_some(phi)
+}
+
 proptest! {
     #[test]
     fn degree_sum_is_twice_edges(g in arb_graph(24, 80)) {
@@ -172,11 +207,14 @@ proptest! {
     }
 
     #[test]
-    fn ullmann_agrees_with_vf2(pat in arb_graph(6, 10), tgt in arb_graph(12, 30)) {
-        prop_assert_eq!(
-            graphlib::ullmann::contains_subgraph_ullmann(&pat, &tgt),
-            iso::contains_subgraph(&pat, &tgt)
-        );
+    fn vf2_agrees_with_brute_force(pat in arb_graph(6, 10), tgt in arb_graph(12, 30)) {
+        let oracle = brute_force_embedding(&pat, &tgt);
+        let vf2 = iso::find_subgraph(&pat, &tgt);
+        prop_assert_eq!(vf2.is_some(), oracle.is_some());
+        prop_assert_eq!(iso::contains_subgraph(&pat, &tgt), oracle.is_some());
+        if let Some(phi) = vf2 {
+            prop_assert!(iso::verify_embedding(&pat, &tgt, &phi));
+        }
     }
 
     #[test]

@@ -88,6 +88,22 @@ else
     echo "    one configuration, result, error and event surface (no engine setters)"
 fi
 
+# One send path, one referee: the engine's three-pass reference send path
+# (account_shard + stage_shard behind a `fused` knob, with its `stage`
+# profiler section) and the Ullmann matcher are gone. The naive engine in
+# crates/congest/tests/naive/ referees the sharded engine; a brute-force
+# injection search referees VF2.
+echo "==> checking the removed reference send path and Ullmann matcher are absent"
+referees='\.fused\(|\bfused:|account_shard|stage_shard|Section::Stage|ullmann'
+if grep -rnE "$referees" src tests examples crates \
+    --exclude-dir=target 2>/dev/null; then
+    echo "error: a removed referee reappeared; the fused sweep is the only" \
+         "send path and crates/congest/tests/naive/ the engine's referee" >&2
+    status=1
+else
+    echo "    one send path (the fused sweep) and one engine referee (tests/naive)"
+fi
+
 # One bench harness: wall-clock timing lives in perfbench/ only. The
 # `perf` binary, its BENCH_*.json baselines, bench.sh and the criterion
 # shim with its benches are gone and must stay gone.
@@ -143,19 +159,19 @@ RAYON_NUM_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q --workspace (RAYON_NUM_THREADS=4)"
 RAYON_NUM_THREADS=4 cargo test -q --workspace
 
-# The routing property test (new delivery vs naive reference, inbox order
-# included) must hold on sequential and parallel schedules alike.
+# The routing property test (engine delivery vs the naive engine, inbox
+# order included) must hold on sequential and parallel schedules alike.
 echo "==> routing property test (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q -p congest --test routing
 
 echo "==> routing property test (RAYON_NUM_THREADS=4)"
 RAYON_NUM_THREADS=4 cargo test -q -p congest --test routing
 
-# The sharding referee: every observable of a run (inbox contents AND
-# order, the raw event stream, fault tallies, traffic stats) must be
-# byte-identical at shard counts {1, 2, 7, ...} — and that must hold on
-# sequential and parallel pools alike, so the matrix covers shards x
-# threads.
+# The engine referee: every observable of a run (inbox contents AND
+# order, the raw event stream, fault tallies, traffic stats, the first
+# send error) must be byte-identical to the naive engine at shard counts
+# {1, 2, 7, ...} — and that must hold on sequential and parallel pools
+# alike, so the matrix covers shards x threads.
 echo "==> sharding referee (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q -p congest --test sharding
 
