@@ -397,9 +397,20 @@ fn deliver_shard<M: BitSize + Clone>(
                     // (only meaningful when tracing; `id_base` is empty
                     // otherwise).
                     let msg_id = if tracing { id_base[u] + idx as u64 } else { 0 };
-                    // Messages to a crashed node are lost.
+                    // Messages to a crashed node are lost, and the loss is
+                    // an event like any other drop.
                     if receiver_down {
                         *dropped += 1;
+                        if tracing {
+                            events.push(SimEvent::Drop {
+                                round,
+                                from: u,
+                                to: v,
+                                port: p,
+                                bits: m.bit_size(),
+                                msg_id,
+                            });
+                        }
                         continue;
                     }
                     let ctx = DeliveryCtx {

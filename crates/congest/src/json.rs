@@ -1,14 +1,24 @@
-//! A minimal JSON reader for the serve protocol.
+//! The workspace's one JSON reader and string escaper.
 //!
-//! The workspace has no serde (every dependency is a vendored shim), and the
-//! existing observability layer hand-*writes* JSON; the service also needs
-//! to hand-*read* it. This is a small recursive-descent parser over the full
-//! JSON grammar — objects, arrays, strings with escapes, numbers, booleans,
-//! null — returning a [`Value`] tree with typed accessors. Requests are one
-//! object per line, so inputs are small and a tree parse is the simple,
-//! deterministic choice.
+//! The workspace has no serde (every dependency is a vendored shim), so
+//! JSON is hand-*written* by each exporter's `format!` bodies and
+//! hand-*read* here: a small recursive-descent parser over the full JSON
+//! grammar — objects, arrays, strings with escapes, numbers, booleans,
+//! null — returning a [`Value`] tree with typed accessors. Run reports,
+//! JSONL event dumps ([`crate::JsonlTrace::decode`]), flight records and
+//! `congest-serve` request lines are all read through [`parse`]; every
+//! writer escapes strings with [`escape`]. Documents are one object per
+//! line or one small report, so a tree parse is the simple, deterministic
+//! choice. Nesting is capped at [`MAX_DEPTH`] so a hostile line cannot
+//! overflow the stack.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The deepest
+/// document the repo writes is a `congest-serve` response embedding a run
+/// report's metrics block (response → report → metrics → histogram →
+/// buckets: 5 levels); past this, `parse` fails instead of recursing on.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object entries keep their source order.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +27,12 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`, which covers every count the
-    /// protocol uses).
+    /// A non-negative integer literal, kept exact (every count, id and
+    /// seed the repo writes is one, and `u64` values past 2^53 do not
+    /// survive `f64`).
+    Int(u64),
+    /// Any other JSON number (negative, fractional, exponent form, or past
+    /// `u64::MAX`), as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -48,6 +62,7 @@ impl Value {
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -55,17 +70,34 @@ impl Value {
 
     /// The number as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-            Some(n as u64)
-        } else {
-            None
+        match *self {
+            Value::Int(n) => Some(n),
+            Value::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
+            _ => None,
         }
     }
 
     /// [`Value::as_u64`] narrowed to `usize`.
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+
+    /// Member `key` as a non-negative integer that fits `T`, with an error
+    /// naming the key when it is absent or out of range.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field \"{key}\""))?
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("field \"{key}\" is not a non-negative integer in range"))
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
     }
 
     /// The boolean payload, if this is a boolean.
@@ -77,11 +109,14 @@ impl Value {
     }
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Parses one JSON document, rejecting trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`] (that error names the byte offset of the first
+/// bracket past the limit).
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -95,6 +130,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -123,8 +160,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -133,6 +170,20 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -154,6 +205,9 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -282,8 +336,9 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal (mirror of the
-/// writer-side escaping in `congest::obsv`).
+/// Escapes `s` for embedding in a JSON string literal: the one escaper
+/// every writer in the workspace uses, and the inverse of [`parse`]'s
+/// string reading.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -325,7 +380,7 @@ mod tests {
         assert_eq!(s.get("faults"), Some(&Value::Null));
         assert_eq!(
             v.get("tags").unwrap(),
-            &Value::Arr(vec![Value::Num(1.0), Value::Num(2.0), Value::Num(3.0)])
+            &Value::Arr(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
     }
 
@@ -359,6 +414,34 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(parse("1e2").unwrap().as_u64(), Some(100));
+    }
+
+    #[test]
+    fn integers_past_f64_precision_stay_exact() {
+        for n in [u64::MAX, (1 << 53) + 1] {
+            assert_eq!(parse(&n.to_string()).unwrap().as_u64(), Some(n));
+        }
+        // One past u64::MAX is still a number, just not an exact one.
+        assert!(parse("18446744073709551616").unwrap().as_f64().is_some());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deep = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains(&format!("at byte {MAX_DEPTH}")), "{e}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(escape("x\ny"), r#"x\ny"#);
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! * [`chaos`] — the deterministic chaos-schedule fuzzer: seeded fault
 //!   schedules over the model space, oracle-driven soundness checks, and
 //!   delta-debugging shrink to minimal JSON reproducers.
+//! * [`json`] — the workspace's one JSON reader and string escaper: every
+//!   run report, event dump, flight record and `congest-serve` request is
+//!   read back through [`json::parse`].
 //! * [`message::BitSize`] — exact on-the-wire bit accounting.
 //! * [`identifiers`] — namespace/id assignments (§4, §5 separate nodes from
 //!   identifiers).
@@ -35,6 +38,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod identifiers;
+pub mod json;
 pub mod message;
 pub mod node;
 pub mod obsv;

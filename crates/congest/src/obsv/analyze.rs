@@ -21,8 +21,8 @@
 //! JSONL dump (the `tracetools` crate ships the parser and the
 //! `congest-trace` CLI over these functions).
 
+use crate::json;
 use crate::obsv::collect::{JsonlTrace, SimEvent};
-use crate::obsv::report::json_escape;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -103,7 +103,7 @@ impl CriticalPathSummary {
             let _ = write!(
                 out,
                 r#"{{"name":"{}","segments":{},"max_path_bits":{},"max_path_len":{},"messages":{}}}"#,
-                json_escape(&p.phase),
+                json::escape(&p.phase),
                 p.segments,
                 p.max_path_bits,
                 p.max_path_len,
@@ -118,7 +118,7 @@ impl CriticalPathSummary {
             let _ = write!(
                 out,
                 r#"{{"phase":"{}","repetition":{},"rounds":{},"messages":{},"path_bits":{},"path_len":{}}}"#,
-                json_escape(&s.phase),
+                json::escape(&s.phase),
                 s.repetition,
                 s.rounds,
                 s.messages,
@@ -366,9 +366,8 @@ pub fn critical_path(events: &[SimEvent]) -> CriticalPathSummary {
 /// * message ids are unique within a segment;
 /// * every `deps` entry of a send was actually delivered (or delivered
 ///   corrupted) to the sender in the previous round;
-/// * `RoundEnd.dropped` covers at least the recorded `Drop` events
-///   (crashed-receiver drops carry no event) and `RoundEnd.corrupted`
-///   matches the `Corrupt` events exactly.
+/// * `RoundEnd.dropped` covers at least the recorded `Drop` events and
+///   `RoundEnd.corrupted` matches the `Corrupt` events exactly.
 pub fn check(events: &[SimEvent]) -> Vec<String> {
     let mut out = Vec::new();
     for (si, seg) in segments(events).iter().enumerate() {
@@ -964,7 +963,9 @@ mod tests {
         assert_eq!(s.phases[0].messages, 6);
         let json = s.to_json();
         assert!(json.contains(r#""name":"phase1","segments":2"#), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let v = json::parse(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        let phases = v.get("phases").and_then(json::Value::as_array).unwrap();
+        assert_eq!(phases[0].int::<u64>("max_path_bits"), Ok(24));
         let human = s.render();
         assert!(human.contains("phase2"), "{human}");
         assert!(human.contains("critical chain"), "{human}");

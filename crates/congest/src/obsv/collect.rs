@@ -20,6 +20,7 @@
 //! (the corrupted payload still reached the algorithm). The DAG is what
 //! [`crate::obsv::analyze`] walks to compute weighted critical paths.
 
+use crate::json::{self, Value};
 use crate::obsv::metrics::Histogram;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -103,7 +104,8 @@ pub enum SimEvent {
         /// Id assigned to this message at send accounting.
         msg_id: u64,
     },
-    /// A delivery was dropped by the fault model.
+    /// A delivery was dropped by the fault model, or lost because its
+    /// receiver has crashed.
     Drop {
         /// Round of the (failed) delivery.
         round: usize,
@@ -336,19 +338,16 @@ impl JsonlTrace {
     /// so external serializers (e.g. the `congest-trace` toolkit) produce
     /// the exact on-disk format.
     pub fn render(ev: &SimEvent) -> String {
-        Self::line(ev)
-    }
-
-    fn line(ev: &SimEvent) -> String {
         match ev {
             SimEvent::Meta {
                 n,
                 bandwidth_bits,
                 seed,
             } => format!(r#"{{"ev":"meta","n":{n},"bandwidth":{bandwidth_bits},"seed":{seed}}}"#),
-            SimEvent::Phase { name, repetition } => {
-                format!(r#"{{"ev":"phase","name":"{name}","repetition":{repetition}}}"#)
-            }
+            SimEvent::Phase { name, repetition } => format!(
+                r#"{{"ev":"phase","name":"{}","repetition":{repetition}}}"#,
+                json::escape(name)
+            ),
             SimEvent::RoundStart { round } => {
                 format!(r#"{{"ev":"round_start","round":{round}}}"#)
             }
@@ -436,6 +435,114 @@ impl JsonlTrace {
             PortRepr(port)
         )
     }
+
+    /// Decodes one parsed JSONL line back into the event
+    /// [`render`](Self::render) wrote it from; the round trip is exact for
+    /// every event. Unknown `ev` tags are an error, so a trace from a newer
+    /// schema fails loudly instead of being half-read.
+    pub fn decode(v: &Value) -> Result<SimEvent, String> {
+        let kind = v
+            .get("ev")
+            .and_then(Value::as_str)
+            .ok_or("missing field \"ev\"")?;
+        // The three delivery fates share one field set.
+        macro_rules! delivery {
+            ($fate:ident) => {
+                SimEvent::$fate {
+                    round: v.int("round")?,
+                    from: v.int("from")?,
+                    to: v.int("to")?,
+                    port: port_field(v)?,
+                    bits: v.int("bits")?,
+                    msg_id: v.int("msg_id")?,
+                }
+            };
+        }
+        Ok(match kind {
+            "meta" => SimEvent::Meta {
+                n: v.int("n")?,
+                bandwidth_bits: v.int("bandwidth")?,
+                seed: v.int("seed")?,
+            },
+            "phase" => SimEvent::Phase {
+                name: v
+                    .get("name")
+                    .and_then(Value::as_str)
+                    .ok_or("missing string field \"name\"")?
+                    .into(),
+                repetition: v.int("repetition")?,
+            },
+            "round_start" => SimEvent::RoundStart {
+                round: v.int("round")?,
+            },
+            "round_end" => SimEvent::RoundEnd {
+                round: v.int("round")?,
+                bits: v.int("bits")?,
+                messages: v.int("messages")?,
+                dropped: v.int("dropped")?,
+                corrupted: v.int("corrupted")?,
+            },
+            "send" => send(v)?,
+            "deliver" => delivery!(Deliver),
+            "drop" => delivery!(Drop),
+            "corrupt" => delivery!(Corrupt),
+            "crash" => SimEvent::Crash {
+                round: v.int("round")?,
+                node: v.int("node")?,
+            },
+            "compute" => SimEvent::NodeCompute {
+                round: v.int("round")?,
+                node: v.int("node")?,
+                nanos: v.int("nanos")?,
+            },
+            "transport" => SimEvent::TransportSummary {
+                retransmissions: v.int("retransmissions")?,
+                given_up: v.int("given_up")?,
+                backoff_events: v.int("backoff_events")?,
+            },
+            other => return Err(format!("unknown event kind \"{other}\"")),
+        })
+    }
+
+    /// Decodes a flight record's reservoir line: a send line whose `ev`
+    /// tag is `"sample"` (see [`FlightRecorder::dump`]).
+    ///
+    /// [`FlightRecorder::dump`]: crate::obsv::flight::FlightRecorder::dump
+    pub fn decode_sample(v: &Value) -> Result<SimEvent, String> {
+        match v.get("ev").and_then(Value::as_str) {
+            Some("sample") => send(v),
+            _ => Err("not a \"sample\" line".into()),
+        }
+    }
+}
+
+/// The fields of a `send` (or `sample`) line.
+fn send(v: &Value) -> Result<SimEvent, String> {
+    let deps = v
+        .get("deps")
+        .and_then(Value::as_array)
+        .ok_or("missing array field \"deps\"")?
+        .iter()
+        .map(|d| d.as_u64().ok_or("non-integer id in \"deps\""))
+        .collect::<Result<Vec<u64>, _>>()?;
+    Ok(SimEvent::Send {
+        round: v.int("round")?,
+        from: v.int("from")?,
+        port: port_field(v)?,
+        bits: v.int("bits")?,
+        msg_id: v.int("msg_id")?,
+        deps: deps.into(),
+    })
+}
+
+/// The `port` member of an event line or a flight-record sketch entry:
+/// `-1`, which the writers put for the broadcast marker `usize::MAX`,
+/// reads back as `usize::MAX`.
+pub fn port_field(v: &Value) -> Result<usize, String> {
+    match v.get("port") {
+        Some(p) if p.as_f64() == Some(-1.0) => Ok(usize::MAX),
+        _ => v.int("port"),
+    }
 }
 
 /// Renders `usize::MAX` (the broadcast marker) as `-1` so the JSON stays
@@ -456,7 +563,7 @@ impl Collector for JsonlTrace {
     fn record(&self, ev: &SimEvent) {
         let mut inner = self.inner.lock();
         if inner.lines.len() < self.capacity {
-            let line = Self::line(ev);
+            let line = Self::render(ev);
             inner.lines.push(line);
         } else {
             inner.dropped += 1;
@@ -542,31 +649,36 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_are_objects() {
+    fn jsonl_lines_parse_back_to_the_recorded_events() {
         let t = JsonlTrace::new(16);
-        t.record(&SimEvent::RoundStart { round: 1 });
-        t.record(&send(1, 0, usize::MAX, 64, 0));
-        t.record(&SimEvent::Drop {
-            round: 1,
-            from: 1,
-            to: 0,
-            port: 0,
-            bits: 8,
-            msg_id: 1,
-        });
-        t.record(&SimEvent::RoundEnd {
-            round: 1,
-            bits: 72,
-            messages: 2,
-            dropped: 1,
-            corrupted: 0,
-        });
+        let events = [
+            SimEvent::RoundStart { round: 1 },
+            send(1, 0, usize::MAX, 64, 0),
+            SimEvent::Drop {
+                round: 1,
+                from: 1,
+                to: 0,
+                port: 0,
+                bits: 8,
+                msg_id: 1,
+            },
+            SimEvent::RoundEnd {
+                round: 1,
+                bits: 72,
+                messages: 2,
+                dropped: 1,
+                corrupted: 0,
+            },
+        ];
+        for ev in &events {
+            t.record(ev);
+        }
         let dump = t.to_jsonl();
         assert_eq!(dump.lines().count(), 4);
         assert!(dump.contains(r#""port":-1"#), "{dump}");
-        for line in dump.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
+        for (line, ev) in dump.lines().zip(&events) {
+            let v = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(&JsonlTrace::decode(&v).unwrap(), ev, "{line}");
         }
     }
 

@@ -551,6 +551,7 @@ impl Collector for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use std::sync::Arc;
 
     fn send(round: usize, from: usize, port: usize, bits: usize, msg_id: u64) -> SimEvent {
@@ -692,9 +693,11 @@ mod tests {
         );
         assert!(header.contains(r#""retransmissions":5"#), "{header}");
         assert!(header.contains(r#""top_edges":["#), "{header}");
-        for line in dump.lines() {
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-        }
+        let lines: Vec<json::Value> = dump
+            .lines()
+            .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}")))
+            .collect();
+        assert_eq!(lines[0].int::<u64>("retransmissions"), Ok(5));
         // Sample lines use the sample tag, not send.
         assert!(dump.contains(r#""ev":"sample""#), "{dump}");
     }

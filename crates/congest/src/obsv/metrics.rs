@@ -394,12 +394,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                r#""{}":{}"#,
-                crate::obsv::report::json_escape(k),
-                v.to_json()
-            );
+            let _ = write!(out, r#""{}":{}"#, crate::json::escape(k), v.to_json());
         }
         out.push('}');
         out
@@ -493,7 +488,8 @@ mod tests {
         assert!(json.contains(r#""bits.total":640"#), "{json}");
         assert!(json.contains(r#""avg":1.500"#), "{json}");
         assert!(json.contains(r#""per_round":{"count":1"#), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let v = crate::json::parse(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        assert_eq!(v.get("per_round").unwrap().int::<u64>("count"), Ok(1));
     }
 
     #[test]

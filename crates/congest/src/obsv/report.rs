@@ -9,6 +9,7 @@
 //! cross-thread tests pin.
 
 use crate::faults::FaultReport;
+use crate::json;
 use crate::obsv::analyze::CriticalPathSummary;
 use crate::obsv::metrics::MetricsSnapshot;
 use crate::simulation::Degraded;
@@ -179,7 +180,7 @@ impl RunReport {
         let mut out = String::from("{\n");
         let _ = writeln!(out, r#"  "schema": "{RUN_REPORT_SCHEMA}","#);
         let _ = writeln!(out, r#"  "version": {RUN_REPORT_VERSION},"#);
-        let _ = writeln!(out, r#"  "label": "{}","#, json_escape(&self.label));
+        let _ = writeln!(out, r#"  "label": "{}","#, json::escape(&self.label));
         let _ = writeln!(out, r#"  "rounds": {},"#, self.rounds);
         let _ = writeln!(out, r#"  "total_bits": {},"#, self.total_bits);
         let _ = writeln!(out, r#"  "total_messages": {},"#, self.total_messages);
@@ -213,7 +214,7 @@ impl RunReport {
             .map(|p| {
                 format!(
                     r#"{{"name":"{}","rounds":{},"bits":{}}}"#,
-                    json_escape(&p.name),
+                    json::escape(&p.name),
                     p.rounds,
                     p.bits
                 )
@@ -312,25 +313,6 @@ impl RunReport {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_schema_versioned_and_balanced() {
+    fn json_is_schema_versioned_and_parses() {
         let json = sample_report().to_json();
         assert!(json.contains(r#""schema": "congest.run_report""#), "{json}");
         assert!(json.contains(&format!(r#""version": {RUN_REPORT_VERSION}"#)));
@@ -365,8 +347,11 @@ mod tests {
         assert!(json.contains(r#""retransmissions_per_link":[]"#), "{json}");
         assert!(!json.contains("critical_path"), "absent unless attached");
         assert!(!json.contains("degraded"), "absent unless attached");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let v = json::parse(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        assert_eq!(
+            v.get("schema").and_then(json::Value::as_str),
+            Some(RUN_REPORT_SCHEMA)
+        );
         assert!(json.ends_with("}\n"));
     }
 
@@ -396,7 +381,9 @@ mod tests {
             json.contains(r#""critical_path": {"phases":[],"segments":[]}"#),
             "{json}"
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let v = json::parse(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        let faults = v.get("faults").unwrap();
+        assert_eq!(faults.int::<u64>("dropped"), Ok(3));
     }
 
     #[test]
@@ -430,7 +417,12 @@ mod tests {
             json.contains(r#""retransmissions_per_link":[3,0,4,0,0,0,0,0]"#),
             "{json}"
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let v = json::parse(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        let degraded = v.get("degraded").unwrap();
+        assert_eq!(
+            degraded.get("confidence").and_then(json::Value::as_f64),
+            Some(0.75)
+        );
         let table = report.summary_table();
         assert!(table.contains("3 of 4 nodes surviving"), "{table}");
         assert!(table.contains("confidence 0.7500"), "{table}");
@@ -443,12 +435,5 @@ mod tests {
         assert!(s.contains("sample"));
         assert!(s.contains("96"));
         assert!(s.contains("phase phase1"), "{s}");
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny"), r#"x\ny"#);
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

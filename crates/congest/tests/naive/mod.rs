@@ -14,7 +14,8 @@
 //! 4. builds each receiver's inbox by rescanning every neighbor's whole
 //!    outbox — port ascending, sender outbox order within a port — and
 //!    asks the fault model about each delivery (a crashed receiver loses
-//!    everything, with no event and no question asked);
+//!    everything without asking the model, and each lost delivery is a
+//!    `Drop` event like any other);
 //! 5. steps every live node.
 //!
 //! Everything is recomputed from scratch every round: no arenas, no
@@ -237,10 +238,6 @@ where
                         Outgoing::Broadcast(m) => m,
                         Outgoing::Unicast(..) => continue,
                     };
-                    if crashed[v] {
-                        round_dropped += 1;
-                        continue;
-                    }
                     let ctx = DeliveryCtx {
                         seed,
                         round,
@@ -253,7 +250,14 @@ where
                     };
                     let (msg_id, from, to, port, bits) =
                         (first_id[u] + idx as u64, u, v, p, ctx.bits);
-                    let (event, payload) = match model.delivery(&ctx) {
+                    // A crashed receiver loses the delivery without the
+                    // model being asked.
+                    let fate = if crashed[v] {
+                        Delivery::Drop
+                    } else {
+                        model.delivery(&ctx)
+                    };
+                    let (event, payload) = match fate {
                         Delivery::Deliver => (
                             SimEvent::Deliver {
                                 round,

@@ -1,9 +1,9 @@
 //! Property-based tests of the simulators' accounting invariants.
 
 use congest::{
-    bits_for_domain, Bandwidth, BitSize, BitString, Collector, CrashStop, Decision, EventLog,
-    FaultSpec, FlightConfig, FlightRecorder, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing,
-    SimEvent, Simulation,
+    bits_for_domain, json, Bandwidth, BitSize, BitString, Collector, CrashStop, Decision, EventLog,
+    FaultSpec, FlightConfig, FlightRecorder, Inbox, JsonlTrace, NodeAlgorithm, NodeContext, Outbox,
+    Outgoing, SimEvent, Simulation,
 };
 use graphlib::{generators, Graph};
 use proptest::prelude::*;
@@ -281,5 +281,169 @@ proptest! {
         }
         prop_assert_eq!(&dumps[1], &dumps[0], "dump at 2 shards differs from 1");
         prop_assert_eq!(&dumps[2], &dumps[0], "dump at 7 shards differs from 1");
+    }
+}
+
+/// A crashed receiver's lost deliveries are `Drop` events like any other:
+/// star(5) whose centre crashes in round 1 loses the five leaves' round-1
+/// broadcasts, and the trace carries exactly those five drops, matching
+/// `faults.dropped` and the `RoundEnd` tally at every shard count.
+#[test]
+fn crashed_receiver_losses_are_drop_events() {
+    let g = generators::star(5);
+    for shards in [1usize, 2, 7] {
+        let log = Arc::new(EventLog::new());
+        let out = Simulation::on(&g)
+            .seed(3)
+            .bandwidth(Bandwidth::Bits(8))
+            .faults(FaultSpec::CrashStop(CrashStop::at(vec![(0, 1)])))
+            .max_rounds(4)
+            .shards(shards)
+            .collector_arc(log.clone())
+            .run(|_| Chatter {
+                rounds: 1,
+                payload_bits: 8,
+                done: false,
+            })
+            .unwrap();
+        let events = log.take();
+        let drops: Vec<(usize, usize)> = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                SimEvent::Drop { from, to, .. } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, (1..=5).map(|leaf| (leaf, 0)).collect::<Vec<_>>());
+        assert_eq!(out.faults.dropped, 5, "shards = {shards}");
+        let tallied: u64 = events
+            .iter()
+            .map(|ev| match *ev {
+                SimEvent::RoundEnd { dropped, .. } => dropped,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(tallied, 5, "shards = {shards}");
+    }
+}
+
+/// Characters that stress the escaper: quotes, backslashes, braces,
+/// control characters, and multi-byte and astral-plane scalars.
+const NAME_CHARS: [char; 12] = [
+    'a',
+    'Z',
+    '"',
+    '\\',
+    '/',
+    '{',
+    '\n',
+    '\t',
+    '\u{0}',
+    '\u{1f}',
+    '\u{e9}',
+    '\u{1F600}',
+];
+
+/// One event of every `SimEvent` kind, built from the drawn values.
+fn every_kind(name: &str, [a, b, c, d]: [u64; 4], port: usize, deps: &[u64]) -> Vec<SimEvent> {
+    let (ua, ub, uc) = (a as usize, b as usize, c as usize);
+    let delivery = |kind: usize| {
+        let (round, from, to, bits, msg_id) = (ua, ub, uc, ub ^ uc, d);
+        match kind {
+            0 => SimEvent::Deliver {
+                round,
+                from,
+                to,
+                port,
+                bits,
+                msg_id,
+            },
+            1 => SimEvent::Drop {
+                round,
+                from,
+                to,
+                port,
+                bits,
+                msg_id,
+            },
+            _ => SimEvent::Corrupt {
+                round,
+                from,
+                to,
+                port,
+                bits,
+                msg_id,
+            },
+        }
+    };
+    vec![
+        SimEvent::Meta {
+            n: ua,
+            bandwidth_bits: ub,
+            seed: d,
+        },
+        SimEvent::Phase {
+            name: name.into(),
+            repetition: uc,
+        },
+        SimEvent::RoundStart { round: ua },
+        SimEvent::RoundEnd {
+            round: ua,
+            bits: b,
+            messages: c,
+            dropped: d,
+            corrupted: a,
+        },
+        SimEvent::Send {
+            round: ua,
+            from: ub,
+            port,
+            bits: uc,
+            msg_id: d,
+            deps: deps.into(),
+        },
+        delivery(0),
+        delivery(1),
+        delivery(2),
+        SimEvent::Crash {
+            round: ua,
+            node: ub,
+        },
+        SimEvent::NodeCompute {
+            round: ua,
+            node: ub,
+            nanos: d,
+        },
+        SimEvent::TransportSummary {
+            retransmissions: a,
+            given_up: b,
+            backoff_events: c,
+        },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Every emitter line parses back: each event kind, with arbitrary phase
+    // names, integers past f64 precision, the broadcast port and empty or
+    // non-empty deps, renders to a JSON line that decodes to an equal
+    // event.
+    #[test]
+    fn every_event_renders_and_decodes_back(
+        name in collection::vec(0usize..NAME_CHARS.len(), 0..12),
+        ints in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        port in (any::<bool>(), any::<usize>()),
+        deps in collection::vec(any::<u64>(), 0..5),
+    ) {
+        let name: String = name.into_iter().map(|i| NAME_CHARS[i]).collect();
+        let port = if port.0 { usize::MAX } else { port.1 };
+        let (a, b, c, d) = ints;
+        for ev in every_kind(&name, [a, b, c, d], port, &deps) {
+            let line = JsonlTrace::render(&ev);
+            let parsed = json::parse(&line);
+            prop_assert!(parsed.is_ok(), "{line}: {parsed:?}");
+            prop_assert_eq!(JsonlTrace::decode(&parsed.unwrap()), Ok(ev), "{}", line);
+        }
     }
 }

@@ -24,10 +24,12 @@
 //! ```
 
 pub mod cache;
-pub mod json;
 pub mod protocol;
 pub mod scenario;
 pub mod service;
+
+/// The request reader is `congest`'s one JSON module.
+pub use congest::json;
 
 pub use cache::{address_hex, content_address, Cache};
 pub use protocol::{

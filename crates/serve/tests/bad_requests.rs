@@ -1,7 +1,8 @@
 //! A bad request must not knock the service over: a query whose fault
 //! probability lies outside `[0, 1]` gets exactly one `"status":"error"`
 //! line, rendered with the error's `Display` text, and the `congest-serve`
-//! process keeps answering the queries after it.
+//! process keeps answering the queries after it. The same holds for a line
+//! nested far deeper than the JSON reader accepts.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -88,4 +89,32 @@ fn out_of_range_fault_probabilities_get_one_error_line_each_and_serving_continue
         let line = response(&lines, id);
         assert!(line.contains(r#""status":"ok""#), "{line}");
     }
+}
+
+#[test]
+fn deeply_nested_lines_get_one_error_line_each_and_serving_continues() {
+    const DEPTH: usize = 100_000;
+    let open_brackets = "[".repeat(DEPTH);
+    let nested_unused_field = format!(
+        r#"{{"schema":"congest.serve","version":1,"op":"query","id":"nested","graph":{GRAPH},"scenario":{{"kind":"triangle","seed":1}},"unused":{}{}}}"#,
+        "[".repeat(DEPTH),
+        "]".repeat(DEPTH)
+    );
+    let lines = serve_session(&[
+        open_brackets,
+        nested_unused_field,
+        query("after", r#"{"kind":"triangle","seed":2}"#),
+    ]);
+    let errors: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.contains(r#""status":"error""#))
+        .collect();
+    assert_eq!(errors.len(), 2, "one error line per bad line: {lines:?}");
+    for line in errors {
+        let v = json::parse(line).unwrap();
+        let msg = v.get("error").and_then(|s| s.as_str()).unwrap();
+        assert!(msg.contains("nesting deeper than"), "{msg}");
+    }
+    let after = response(&lines, "after");
+    assert!(after.contains(r#""status":"ok""#), "{after}");
 }

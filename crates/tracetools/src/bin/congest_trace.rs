@@ -102,12 +102,15 @@ fn load_events(path: &str) -> Result<Vec<congest::SimEvent>, String> {
 }
 
 /// Whether a document is a flight-recorder dump: its first non-empty line
-/// leads with the `congest.flight_record` header.
+/// parses as an object whose `schema` is `congest.flight_record`.
 fn is_flight_dump(doc: &str) -> bool {
-    doc.lines().find(|l| !l.trim().is_empty()).is_some_and(|l| {
-        l.trim_start()
-            .starts_with(r#"{"schema":"congest.flight_record""#)
-    })
+    doc.lines()
+        .find(|l| !l.trim().is_empty())
+        .and_then(|l| congest::json::parse(l).ok())
+        .is_some_and(|h| {
+            h.get("schema").and_then(congest::json::Value::as_str)
+                == Some(congest::FLIGHT_RECORD_SCHEMA)
+        })
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {

@@ -6,19 +6,24 @@
 //! other direction: [`parse_jsonl`] reads such a dump back into event
 //! values so the [`congest::obsv::analyze`] consumers — invariant checker,
 //! critical-path extractor, heatmap, diff — run against traces recorded in
-//! a different process (or a different machine). The `congest-trace`
-//! binary wraps the whole round trip as a command-line toolkit.
+//! a different process (or a different machine); [`parse_flight`] and
+//! [`check_run_report`] do the same for flight records and run reports.
+//! The `congest-trace` binary wraps the whole round trip as a command-line
+//! toolkit.
 //!
-//! The parser is hand-rolled against the exact renderer format (the repo
-//! vendors no JSON library by design): flat objects, known keys, the only
-//! nested value being the `deps` id array on `send` lines. Unknown `ev`
-//! tags are an error — a trace from a newer schema should fail loudly, not
-//! be silently half-read.
+//! Every document is read through [`congest::json`], the workspace's one
+//! JSON reader, so any valid JSON the writers could have produced parses
+//! (key order, whitespace and string contents are free). Event lines decode
+//! through [`JsonlTrace::decode`](congest::JsonlTrace::decode), which sits
+//! beside the renderer that wrote them. Unknown `ev` tags are an error — a
+//! trace from a newer schema should fail loudly, not be silently half-read.
 
 #![warn(missing_docs)]
 
-use congest::SimEvent;
-use std::sync::Arc;
+use congest::json::{self, Value};
+use congest::obsv::collect::port_field;
+use congest::obsv::TopEntry;
+use congest::{JsonlTrace, SimEvent};
 
 /// A parse failure: line number (1-based) plus a description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,165 +49,24 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// Extracts the raw text of a scalar field (`"key":value`) from a flat
-/// JSON object line. Stops at `,`, `}` or `]`; quotes are stripped.
-fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = obj[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn num<T: std::str::FromStr>(obj: &str, key: &str, line: usize) -> Result<T, ParseError> {
-    raw_field(obj, key)
-        .ok_or_else(|| err(line, format!("missing field \"{key}\"")))?
-        .parse()
-        .map_err(|_| err(line, format!("field \"{key}\" is not a number")))
-}
-
-/// A port field: `-1` encodes the broadcast marker `usize::MAX`.
-fn port(obj: &str, line: usize) -> Result<usize, ParseError> {
-    let raw = raw_field(obj, "port").ok_or_else(|| err(line, "missing field \"port\""))?;
-    if raw == "-1" {
-        Ok(usize::MAX)
-    } else {
-        raw.parse()
-            .map_err(|_| err(line, "field \"port\" is not a number"))
-    }
-}
-
-/// The `deps` id array of a `send` line.
-fn deps(obj: &str, line: usize) -> Result<Arc<[u64]>, ParseError> {
-    let pat = "\"deps\":[";
-    let start = obj
-        .find(pat)
-        .ok_or_else(|| err(line, "missing field \"deps\""))?
-        + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(']')
-        .ok_or_else(|| err(line, "unterminated \"deps\" array"))?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Ok(Arc::from([]));
-    }
-    let ids: Result<Vec<u64>, _> = body.split(',').map(|s| s.trim().parse()).collect();
-    ids.map(Arc::from)
-        .map_err(|_| err(line, "non-numeric id in \"deps\""))
-}
-
-fn delivery(
-    obj: &str,
-    line: usize,
-) -> Result<(usize, usize, usize, usize, usize, u64), ParseError> {
-    Ok((
-        num(obj, "round", line)?,
-        num(obj, "from", line)?,
-        num(obj, "to", line)?,
-        port(obj, line)?,
-        num(obj, "bits", line)?,
-        num(obj, "msg_id", line)?,
-    ))
-}
-
-/// Parses one JSONL line back into the event it was rendered from.
-pub fn parse_line(obj: &str, line: usize) -> Result<SimEvent, ParseError> {
-    let ev = raw_field(obj, "ev").ok_or_else(|| err(line, "missing field \"ev\""))?;
-    match ev {
-        "meta" => Ok(SimEvent::Meta {
-            n: num(obj, "n", line)?,
-            bandwidth_bits: num(obj, "bandwidth", line)?,
-            seed: num(obj, "seed", line)?,
-        }),
-        "phase" => Ok(SimEvent::Phase {
-            name: raw_field(obj, "name")
-                .ok_or_else(|| err(line, "missing field \"name\""))?
-                .into(),
-            repetition: num(obj, "repetition", line)?,
-        }),
-        "round_start" => Ok(SimEvent::RoundStart {
-            round: num(obj, "round", line)?,
-        }),
-        "round_end" => Ok(SimEvent::RoundEnd {
-            round: num(obj, "round", line)?,
-            bits: num(obj, "bits", line)?,
-            messages: num(obj, "messages", line)?,
-            dropped: num(obj, "dropped", line)?,
-            corrupted: num(obj, "corrupted", line)?,
-        }),
-        "send" => Ok(SimEvent::Send {
-            round: num(obj, "round", line)?,
-            from: num(obj, "from", line)?,
-            port: port(obj, line)?,
-            bits: num(obj, "bits", line)?,
-            msg_id: num(obj, "msg_id", line)?,
-            deps: deps(obj, line)?,
-        }),
-        "deliver" => {
-            let (round, from, to, port, bits, msg_id) = delivery(obj, line)?;
-            Ok(SimEvent::Deliver {
-                round,
-                from,
-                to,
-                port,
-                bits,
-                msg_id,
-            })
-        }
-        "drop" => {
-            let (round, from, to, port, bits, msg_id) = delivery(obj, line)?;
-            Ok(SimEvent::Drop {
-                round,
-                from,
-                to,
-                port,
-                bits,
-                msg_id,
-            })
-        }
-        "corrupt" => {
-            let (round, from, to, port, bits, msg_id) = delivery(obj, line)?;
-            Ok(SimEvent::Corrupt {
-                round,
-                from,
-                to,
-                port,
-                bits,
-                msg_id,
-            })
-        }
-        "crash" => Ok(SimEvent::Crash {
-            round: num(obj, "round", line)?,
-            node: num(obj, "node", line)?,
-        }),
-        "compute" => Ok(SimEvent::NodeCompute {
-            round: num(obj, "round", line)?,
-            node: num(obj, "node", line)?,
-            nanos: num(obj, "nanos", line)?,
-        }),
-        "transport" => Ok(SimEvent::TransportSummary {
-            retransmissions: num(obj, "retransmissions", line)?,
-            given_up: num(obj, "given_up", line)?,
-            backoff_events: num(obj, "backoff_events", line)?,
-        }),
-        other => Err(err(line, format!("unknown event kind \"{other}\""))),
-    }
+/// The non-blank lines of a dump, trimmed, with their 1-based numbers.
+fn numbered_lines(dump: &str) -> impl Iterator<Item = (usize, &str)> {
+    dump.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty())
 }
 
 /// Parses a whole JSONL dump (empty lines skipped) back into the event
 /// stream it was rendered from. The round trip through
 /// [`JsonlTrace::render`](congest::JsonlTrace::render) is exact.
 pub fn parse_jsonl(dump: &str) -> Result<Vec<SimEvent>, ParseError> {
-    dump.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| parse_line(l.trim(), i + 1))
+    numbered_lines(dump)
+        .map(|(line, text)| {
+            json::parse(text)
+                .and_then(|v| JsonlTrace::decode(&v))
+                .map_err(|m| err(line, m))
+        })
         .collect()
 }
 
@@ -211,41 +75,32 @@ pub fn parse_jsonl(dump: &str) -> Result<Vec<SimEvent>, ParseError> {
 pub fn render_jsonl(events: &[SimEvent]) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&congest::JsonlTrace::render(ev));
+        out.push_str(&JsonlTrace::render(ev));
         out.push('\n');
     }
     out
-}
-
-/// Extracts a `"key": [..]` numeric array from a run-report document.
-/// Returns `None` when the key is absent.
-fn u64_array(doc: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":");
-    let start = doc.find(&pat)? + pat.len();
-    let rest = doc[start..].trim_start().strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|s| s.trim().parse().ok()).collect()
 }
 
 /// Structural invariant checks for a schema-versioned run-report JSON
 /// document (`congest.run_report`). Returns human-readable violations;
 /// empty means the document is internally consistent:
 ///
+/// * the document parses as JSON (otherwise the parser's message is the
+///   one violation);
 /// * schema tag and version are present, and the version is one this
 ///   toolkit understands;
-/// * braces and brackets balance (cheap well-formedness);
 /// * the scalar fault tallies match their per-round and per-link series
-///   (`dropped` == sum of `dropped_per_round`, `retransmissions` == sum
-///   of both `retransmissions_per_round` and `retransmissions_per_link`)
-///   when the series are present;
+///   (`faults.dropped` == sum of `dropped_per_round`, `retransmissions` ==
+///   sum of both `retransmissions_per_round` and
+///   `retransmissions_per_link`) when the series are present;
 /// * the `per_round_bits` series has one entry per executed round.
 pub fn check_run_report(doc: &str) -> Vec<String> {
+    let report = match json::parse(doc) {
+        Ok(v) => v,
+        Err(e) => return vec![format!("not valid JSON: {e}")],
+    };
     let mut out = Vec::new();
-    match raw_field(doc, "schema") {
+    match report.get("schema").and_then(Value::as_str) {
         None => out.push("missing \"schema\" field".into()),
         Some(s) if s != congest::RUN_REPORT_SCHEMA => {
             out.push(format!(
@@ -255,26 +110,31 @@ pub fn check_run_report(doc: &str) -> Vec<String> {
         }
         Some(_) => {}
     }
-    match raw_field(doc, "version").and_then(|v| v.parse::<u32>().ok()) {
-        None => out.push("missing or non-numeric \"version\" field".into()),
-        Some(v) if v == 0 || v > congest::RUN_REPORT_VERSION => out.push(format!(
+    match report.int::<u32>("version") {
+        Err(_) => out.push("missing or non-numeric \"version\" field".into()),
+        Ok(v) if v == 0 || v > congest::RUN_REPORT_VERSION => out.push(format!(
             "version {v} outside the supported range 1..={}",
             congest::RUN_REPORT_VERSION
         )),
-        Some(_) => {}
+        Ok(_) => {}
     }
-    if doc.matches('{').count() != doc.matches('}').count()
-        || doc.matches('[').count() != doc.matches(']').count()
-    {
-        out.push("unbalanced braces or brackets".into());
-    }
-    let scalar = |key: &str| raw_field(doc, key).and_then(|v| v.parse::<u64>().ok());
+    let series = |obj: Option<&Value>, key: &str| -> Option<Vec<u64>> {
+        obj?.get(key)?
+            .as_array()?
+            .iter()
+            .map(Value::as_u64)
+            .collect()
+    };
+    let faults = report.get("faults");
     for (total_key, series_key) in [
         ("dropped", "dropped_per_round"),
         ("retransmissions", "retransmissions_per_round"),
         ("retransmissions", "retransmissions_per_link"),
     ] {
-        if let (Some(total), Some(series)) = (scalar(total_key), u64_array(doc, series_key)) {
+        let total = faults
+            .and_then(|f| f.get(total_key))
+            .and_then(Value::as_u64);
+        if let (Some(total), Some(series)) = (total, series(faults, series_key)) {
             let sum: u64 = series.iter().sum();
             if !series.is_empty() && sum != total {
                 out.push(format!(
@@ -283,7 +143,8 @@ pub fn check_run_report(doc: &str) -> Vec<String> {
             }
         }
     }
-    if let (Some(rounds), Some(series)) = (scalar("rounds"), u64_array(doc, "per_round_bits")) {
+    let rounds = report.get("rounds").and_then(Value::as_u64);
+    if let (Some(rounds), Some(series)) = (rounds, series(Some(&report), "per_round_bits")) {
         if series.len() as u64 != rounds {
             out.push(format!(
                 "\"per_round_bits\" has {} entries but \"rounds\" is {rounds}",
@@ -292,32 +153,6 @@ pub fn check_run_report(doc: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// One `(sender, port)` entry of a flight-record header's heavy-edge
-/// sketch: `bits` is the space-saving count (an overestimate by at most
-/// `err`), `port` is `usize::MAX` for broadcast (rendered `-1`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightTopEdge {
-    /// Sending node.
-    pub from: usize,
-    /// Outgoing port (`usize::MAX` = broadcast).
-    pub port: usize,
-    /// Estimated bits sent over the edge (count of the sketch entry).
-    pub bits: u64,
-    /// Maximum overestimation inherited from evicted entries.
-    pub err: u64,
-}
-
-/// One sender entry of a flight-record header's heavy-sender sketch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightTopSender {
-    /// Sending node.
-    pub from: usize,
-    /// Estimated bits sent by the node (count of the sketch entry).
-    pub bits: u64,
-    /// Maximum overestimation inherited from evicted entries.
-    pub err: u64,
 }
 
 /// A parsed flight-recorder dump (`congest.flight_record` — see
@@ -367,9 +202,9 @@ pub struct FlightRecord {
     /// Total send events observed by the sampler.
     pub sends_seen: u64,
     /// The heaviest `(sender, port)` pairs by bits, heaviest first.
-    pub top_edges: Vec<FlightTopEdge>,
+    pub top_edges: Vec<TopEntry<(usize, usize)>>,
     /// The heaviest senders by bits, heaviest first.
-    pub top_senders: Vec<FlightTopSender>,
+    pub top_senders: Vec<TopEntry<usize>>,
     /// Raw body events: the meta line, then the ring (last K closed
     /// rounds), then any open partial round, in dump order.
     pub events: Vec<SimEvent>,
@@ -377,119 +212,101 @@ pub struct FlightRecord {
     pub sampled_sends: Vec<SimEvent>,
 }
 
-/// Splits a `"key":[{..},{..}]` array of flat objects into its object
-/// bodies. The flight-header sketch arrays nest no further brackets, so
-/// the first `]` closes the array.
-fn obj_array<'a>(doc: &'a str, key: &str) -> Option<Vec<&'a str>> {
-    let pat = format!("\"{key}\":[");
-    let start = doc.find(&pat)? + pat.len();
-    let rest = &doc[start..];
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
+/// Reads a flight-record header line: schema tag, version, streaming
+/// totals and both sketches (the body vectors are left empty).
+fn flight_header(h: &Value) -> Result<FlightRecord, String> {
+    match h.get("schema").and_then(Value::as_str) {
+        Some(congest::FLIGHT_RECORD_SCHEMA) => {}
+        Some(s) => {
+            return Err(format!(
+                "schema \"{s}\" is not \"{}\"",
+                congest::FLIGHT_RECORD_SCHEMA
+            ))
+        }
+        None => return Err("missing field \"schema\"".into()),
     }
-    Some(body.split("},{").collect())
+    let version: u32 = h.int("version")?;
+    if version == 0 || version > congest::FLIGHT_RECORD_VERSION {
+        return Err(format!(
+            "version {version} outside the supported range 1..={}",
+            congest::FLIGHT_RECORD_VERSION
+        ));
+    }
+    let sketch = |key: &str| {
+        h.get(key)
+            .and_then(Value::as_array)
+            .ok_or_else(|| format!("missing \"{key}\" array"))
+    };
+    let top_edges = sketch("top_edges")?
+        .iter()
+        .map(|e| {
+            Ok(TopEntry {
+                key: (e.int("from")?, port_field(e)?),
+                count: e.int("bits")?,
+                err: e.int("err")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let top_senders = sketch("top_senders")?
+        .iter()
+        .map(|e| {
+            Ok(TopEntry {
+                key: e.int("from")?,
+                count: e.int("bits")?,
+                err: e.int("err")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(FlightRecord {
+        version,
+        n: h.int("n")?,
+        bandwidth_bits: h.int("bandwidth")?,
+        seed: h.int("seed")?,
+        rounds: h.int("rounds")?,
+        bits: h.int("bits")?,
+        messages: h.int("messages")?,
+        dropped: h.int("dropped")?,
+        corrupted: h.int("corrupted")?,
+        delivered: h.int("delivered")?,
+        crashes: h.int("crashes")?,
+        retransmissions: h.int("retransmissions")?,
+        given_up: h.int("given_up")?,
+        backoff_events: h.int("backoff_events")?,
+        ring_capacity: h.int("ring_capacity")?,
+        ring_rounds: h.int("ring_rounds")?,
+        ring_dropped_events: h.int("ring_dropped_events")?,
+        sample_capacity: h.int("sample_capacity")?,
+        samples: h.int("samples")?,
+        sends_seen: h.int("sends_seen")?,
+        top_edges,
+        top_senders,
+        events: Vec::new(),
+        sampled_sends: Vec::new(),
+    })
 }
 
 /// Parses a flight-recorder dump (first line `congest.flight_record`
 /// header, then JSONL body) back into a [`FlightRecord`]. Sample lines
-/// (`"ev":"sample"`) are send lines in disguise; they parse into
-/// [`FlightRecord::sampled_sends`].
+/// (`"ev":"sample"`) decode through
+/// [`JsonlTrace::decode_sample`](congest::JsonlTrace::decode_sample) into
+/// [`FlightRecord::sampled_sends`]; every other line is a ring event.
 pub fn parse_flight(dump: &str) -> Result<FlightRecord, ParseError> {
-    let mut lines = dump
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (hidx, header) = lines.next().ok_or_else(|| err(1, "empty flight record"))?;
-    let hline = hidx + 1;
-    match raw_field(header, "schema") {
-        Some(s) if s == congest::FLIGHT_RECORD_SCHEMA => {}
-        Some(s) => {
-            return Err(err(
-                hline,
-                format!(
-                    "schema \"{s}\" is not \"{}\"",
-                    congest::FLIGHT_RECORD_SCHEMA
-                ),
-            ))
-        }
-        None => return Err(err(hline, "missing field \"schema\"")),
-    }
-    let version: u32 = num(header, "version", hline)?;
-    if version == 0 || version > congest::FLIGHT_RECORD_VERSION {
-        return Err(err(
-            hline,
-            format!(
-                "version {version} outside the supported range 1..={}",
-                congest::FLIGHT_RECORD_VERSION
-            ),
-        ));
-    }
-    let top_edges = obj_array(header, "top_edges")
-        .ok_or_else(|| err(hline, "missing \"top_edges\" array"))?
-        .into_iter()
-        .map(|o| {
-            Ok(FlightTopEdge {
-                from: num(o, "from", hline)?,
-                port: port(o, hline)?,
-                bits: num(o, "bits", hline)?,
-                err: num(o, "err", hline)?,
-            })
-        })
-        .collect::<Result<Vec<_>, ParseError>>()?;
-    let top_senders = obj_array(header, "top_senders")
-        .ok_or_else(|| err(hline, "missing \"top_senders\" array"))?
-        .into_iter()
-        .map(|o| {
-            Ok(FlightTopSender {
-                from: num(o, "from", hline)?,
-                bits: num(o, "bits", hline)?,
-                err: num(o, "err", hline)?,
-            })
-        })
-        .collect::<Result<Vec<_>, ParseError>>()?;
-    let mut events = Vec::new();
-    let mut sampled_sends = Vec::new();
-    for (i, l) in lines {
-        let l = l.trim();
-        let lineno = i + 1;
-        if l.contains(r#""ev":"sample""#) {
-            let as_send = l.replacen(r#""ev":"sample""#, r#""ev":"send""#, 1);
-            match parse_line(&as_send, lineno)? {
-                ev @ SimEvent::Send { .. } => sampled_sends.push(ev),
-                _ => return Err(err(lineno, "\"sample\" line is not a send")),
-            }
+    let mut lines = numbered_lines(dump);
+    let (hline, header) = lines.next().ok_or_else(|| err(1, "empty flight record"))?;
+    let mut rec = json::parse(header)
+        .and_then(|h| flight_header(&h))
+        .map_err(|m| err(hline, m))?;
+    for (line, text) in lines {
+        let v = json::parse(text).map_err(|m| err(line, m))?;
+        if v.get("ev").and_then(Value::as_str) == Some("sample") {
+            let ev = JsonlTrace::decode_sample(&v).map_err(|m| err(line, m))?;
+            rec.sampled_sends.push(ev);
         } else {
-            events.push(parse_line(l, lineno)?);
+            rec.events
+                .push(JsonlTrace::decode(&v).map_err(|m| err(line, m))?);
         }
     }
-    Ok(FlightRecord {
-        version,
-        n: num(header, "n", hline)?,
-        bandwidth_bits: num(header, "bandwidth", hline)?,
-        seed: num(header, "seed", hline)?,
-        rounds: num(header, "rounds", hline)?,
-        bits: num(header, "bits", hline)?,
-        messages: num(header, "messages", hline)?,
-        dropped: num(header, "dropped", hline)?,
-        corrupted: num(header, "corrupted", hline)?,
-        delivered: num(header, "delivered", hline)?,
-        crashes: num(header, "crashes", hline)?,
-        retransmissions: num(header, "retransmissions", hline)?,
-        given_up: num(header, "given_up", hline)?,
-        backoff_events: num(header, "backoff_events", hline)?,
-        ring_capacity: num(header, "ring_capacity", hline)?,
-        ring_rounds: num(header, "ring_rounds", hline)?,
-        ring_dropped_events: num(header, "ring_dropped_events", hline)?,
-        sample_capacity: num(header, "sample_capacity", hline)?,
-        samples: num(header, "samples", hline)?,
-        sends_seen: num(header, "sends_seen", hline)?,
-        top_edges,
-        top_senders,
-        events,
-        sampled_sends,
-    })
+    Ok(rec)
 }
 
 /// Structural invariant checks for a flight-recorder dump. Returns
@@ -498,14 +315,14 @@ pub fn parse_flight(dump: &str) -> Result<FlightRecord, ParseError> {
 /// run here — the ring's causal deps reference messages that aged out —
 /// so these are the invariants a *windowed* dump does guarantee:
 ///
-/// * the header parses, with a supported schema/version, and braces and
-///   brackets balance;
+/// * every line parses, and the header has a supported schema/version
+///   (otherwise the parse error is the one violation);
 /// * ring rounds are properly bracketed (`round_start` / `round_end`
 ///   pairs, at most one open partial round at the tail) and their count
 ///   matches the header within the configured capacity;
 /// * per-round event counts never exceed the closing `round_end` tallies
-///   (they can undercount — the per-round cap truncates, broadcasts fan
-///   out, and receiver-down drops carry no event — but never overcount);
+///   (they can undercount — the per-round cap truncates and a broadcast
+///   is one send event charged on every port — but never overcount);
 /// * the reservoir is exactly `min(sample_capacity, sends_seen)` sends;
 /// * streamed totals are mutually consistent when no round is open;
 /// * both sketches are sorted heaviest-first with `err <= bits`.
@@ -515,11 +332,6 @@ pub fn check_flight(doc: &str) -> Vec<String> {
         Err(e) => return vec![e.to_string()],
     };
     let mut out = Vec::new();
-    if doc.matches('{').count() != doc.matches('}').count()
-        || doc.matches('[').count() != doc.matches(']').count()
-    {
-        out.push("unbalanced braces or brackets".into());
-    }
     if rec.ring_rounds > rec.ring_capacity {
         out.push(format!(
             "header retains {} ring rounds but capacity is {}",
@@ -624,30 +436,20 @@ pub fn check_flight(doc: &str) -> Vec<String> {
             ));
         }
     }
-    for (name, entries) in [
-        (
-            "top_edges",
-            rec.top_edges
-                .iter()
-                .map(|e| (e.bits, e.err))
-                .collect::<Vec<_>>(),
-        ),
-        (
-            "top_senders",
-            rec.top_senders
-                .iter()
-                .map(|e| (e.bits, e.err))
-                .collect::<Vec<_>>(),
-        ),
-    ] {
-        if entries.windows(2).any(|w| w[0].0 < w[1].0) {
-            out.push(format!("\"{name}\" is not sorted heaviest-first"));
-        }
-        if entries.iter().any(|&(bits, err)| err > bits) {
-            out.push(format!("\"{name}\" has an entry with err > bits"));
-        }
-    }
+    sketch_law("top_edges", &rec.top_edges, &mut out);
+    sketch_law("top_senders", &rec.top_senders, &mut out);
     out
+}
+
+/// A top-k sketch is sorted heaviest-first and no entry's overestimate
+/// exceeds its count.
+fn sketch_law<K>(name: &str, entries: &[TopEntry<K>], out: &mut Vec<String>) {
+    if entries.windows(2).any(|w| w[0].count < w[1].count) {
+        out.push(format!("\"{name}\" is not sorted heaviest-first"));
+    }
+    if entries.iter().any(|e| e.err > e.count) {
+        out.push(format!("\"{name}\" has an entry with err > bits"));
+    }
 }
 
 /// Renders a parsed flight record as the human-readable `tail` view: run
@@ -712,23 +514,24 @@ pub fn render_flight_tail(rec: &FlightRecord) -> String {
     }
     if !rec.top_edges.is_empty() {
         let _ = writeln!(out, "top edges (bits, +err overestimate):");
-        for e in &rec.top_edges {
-            let port = if e.port == usize::MAX {
+        for &TopEntry {
+            key: (from, port),
+            count,
+            err,
+        } in &rec.top_edges
+        {
+            let port = if port == usize::MAX {
                 "broadcast".to_string()
             } else {
-                format!("port {}", e.port)
+                format!("port {port}")
             };
-            let _ = writeln!(
-                out,
-                "  node {} -> {}: {} (+{})",
-                e.from, port, e.bits, e.err
-            );
+            let _ = writeln!(out, "  node {from} -> {port}: {count} (+{err})");
         }
     }
     if !rec.top_senders.is_empty() {
         let _ = writeln!(out, "top senders (bits, +err overestimate):");
         for e in &rec.top_senders {
-            let _ = writeln!(out, "  node {}: {} (+{})", e.from, e.bits, e.err);
+            let _ = writeln!(out, "  node {}: {} (+{})", e.key, e.count, e.err);
         }
     }
     let _ = writeln!(
@@ -743,102 +546,17 @@ pub fn render_flight_tail(rec: &FlightRecord) -> String {
 mod tests {
     use super::*;
 
-    fn all_kinds() -> Vec<SimEvent> {
-        vec![
-            SimEvent::Meta {
-                n: 9,
-                bandwidth_bits: 32,
-                seed: 7,
-            },
-            SimEvent::Phase {
-                name: "phase1".into(),
-                repetition: 3,
-            },
-            SimEvent::RoundStart { round: 1 },
-            SimEvent::Send {
-                round: 1,
-                from: 0,
-                port: usize::MAX,
-                bits: 16,
-                msg_id: 0,
-                deps: Arc::from([]),
-            },
-            SimEvent::Send {
-                round: 2,
-                from: 1,
-                port: 0,
-                bits: 8,
-                msg_id: 1,
-                deps: Arc::from([0u64, 5]),
-            },
-            SimEvent::Deliver {
-                round: 1,
-                from: 0,
-                to: 1,
-                port: 0,
-                bits: 16,
-                msg_id: 0,
-            },
-            SimEvent::Drop {
-                round: 1,
-                from: 2,
-                to: 3,
-                port: 1,
-                bits: 4,
-                msg_id: 2,
-            },
-            SimEvent::Corrupt {
-                round: 1,
-                from: 3,
-                to: 2,
-                port: 0,
-                bits: 4,
-                msg_id: 3,
-            },
-            SimEvent::Crash { round: 2, node: 5 },
-            SimEvent::NodeCompute {
-                round: 2,
-                node: 1,
-                nanos: 12345,
-            },
-            SimEvent::RoundEnd {
-                round: 2,
-                bits: 28,
-                messages: 3,
-                dropped: 1,
-                corrupted: 1,
-            },
-            SimEvent::TransportSummary {
-                retransmissions: 4,
-                given_up: 1,
-                backoff_events: 2,
-            },
-        ]
-    }
-
     #[test]
-    fn every_event_kind_round_trips() {
-        let events = all_kinds();
+    fn canonical_trace_round_trips() {
+        // Every event kind, with arbitrary values, is pinned by the
+        // render/decode proptest in `congest`; this pins the dump-level
+        // wrapper on a real run.
+        let (_, events) = bench::canonical::canonical_fault_free_traced();
         let dump = render_jsonl(&events);
         let back = parse_jsonl(&dump).expect("round trip must parse");
         assert_eq!(back, events);
         // And re-rendering is byte-identical.
         assert_eq!(render_jsonl(&back), dump);
-    }
-
-    #[test]
-    fn broadcast_port_round_trips_through_minus_one() {
-        let ev = SimEvent::Send {
-            round: 1,
-            from: 0,
-            port: usize::MAX,
-            bits: 8,
-            msg_id: 0,
-            deps: Arc::from([]),
-        };
-        let line = congest::JsonlTrace::render(&ev);
-        assert!(line.contains(r#""port":-1"#));
-        assert_eq!(parse_line(&line, 1).unwrap(), ev);
     }
 
     #[test]
@@ -894,6 +612,50 @@ mod tests {
         let v = check_run_report(&doc);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("retransmissions_per_link"), "{v:?}");
+    }
+
+    /// The fault-free golden run report, as committed.
+    fn golden_report() -> String {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/run_report_even_cycle_fault_free.json");
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    #[test]
+    fn run_report_checker_accepts_a_brace_in_the_label() {
+        let doc = golden_report().replacen(
+            r#""label": "even_cycle_fault_free""#,
+            r#""label": "probe{1""#,
+            1,
+        );
+        assert!(doc.contains("probe{1"));
+        assert_eq!(check_run_report(&doc), Vec::<String>::new());
+    }
+
+    #[test]
+    fn run_report_checker_accepts_spaced_separators() {
+        let doc = golden_report()
+            .replace("\": ", "\":")
+            .replace("\":", "\" : ");
+        assert!(doc.contains(r#""schema" : "congest.run_report""#));
+        assert_eq!(check_run_report(&doc), Vec::<String>::new());
+        // The spaced document is still checked, not waved through.
+        let drifted = doc.replacen(r#""rounds" : 2272"#, r#""rounds" : 2271"#, 1);
+        let v = check_run_report(&drifted);
+        assert!(v.iter().any(|m| m.contains("per_round_bits")), "{v:?}");
+    }
+
+    #[test]
+    fn run_report_checker_reports_the_parse_error() {
+        let doc = golden_report();
+        let truncated = &doc[..doc.len() - 3];
+        let v = check_run_report(truncated);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("not valid JSON: "), "{v:?}");
+        assert!(v[0].contains("at byte"), "{v:?}");
+        let nested = format!("{}{}", "[".repeat(1000), "]".repeat(1000));
+        let v = check_run_report(&nested);
+        assert!(v[0].contains("nesting deeper"), "{v:?}");
     }
 
     #[test]

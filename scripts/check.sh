@@ -119,6 +119,23 @@ else
     echo "    one bench harness (perfbench/); no perf binary, BENCH files or criterion"
 fi
 
+# One JSON reader: congest::json parses every document the repo reads back
+# (run reports, JSONL event dumps, flight records, serve requests) and
+# escapes every string the writers emit. The trace toolkit's substring
+# scanners and brace counting, obsv's duplicate escaper and serve's own
+# json.rs are gone and must stay gone.
+echo "==> checking the removed JSON scanners and duplicate escaper are absent"
+scanners="raw_field|obj_array|u64_array|json_escape|matches\\('\\{'\\)"
+if grep -rnE "$scanners" src tests examples crates \
+    --exclude-dir=target 2>/dev/null \
+    || { ls crates/serve/src/json.rs 2>/dev/null || true; } | grep .; then
+    echo "error: a removed JSON scanner, brace count or escaper reappeared;" \
+         "read documents with congest::json::parse and escape with json::escape" >&2
+    status=1
+else
+    echo "    one JSON reader and escaper (congest::json)"
+fi
+
 # The CSR routing arena replaced the per-receiver scan of a per-node wire
 # list; no non-test code may reintroduce that pattern.
 echo "==> checking for the removed per-receiver wire-scan pattern"
