@@ -10,7 +10,7 @@ use crate::engine::Bandwidth;
 use crate::error::SimError;
 use crate::faults::FaultReport;
 use crate::message::BitSize;
-use crate::obsv::collect::{span_nanos, span_start, Collector, SimEvent};
+use crate::obsv::collect::{Collector, SimEvent};
 use crate::obsv::metrics::MetricsSnapshot;
 use crate::obsv::profile::{prof_record, prof_start, Section};
 use crate::simulation::{CliqueRun, Outcome, SimConfig};
@@ -127,7 +127,6 @@ impl<'a> CliqueEngine<'a> {
         let n = self.input.n();
         let collector = self.collector.as_deref();
         let tracing = collector.is_some();
-        let timing = collector.is_some_and(Collector::wants_compute_spans);
         // Mirrors `engine.rs`: deps construction is skipped when no
         // collector asks for provenance; ids and events keep flowing.
         let provenance = collector.is_some_and(Collector::wants_provenance);
@@ -170,44 +169,28 @@ impl<'a> CliqueEngine<'a> {
         let mut traffic = RunStats::complete(n);
 
         let t_init = prof_start(prof);
-        let init: Vec<(PairOutbox<A::Msg>, u64)> = nodes
+        let mut outboxes: Vec<PairOutbox<A::Msg>> = nodes
             .par_iter_mut()
             .zip(contexts.par_iter())
             .zip(rngs.par_iter_mut())
-            .map(|((node, ctx), rng)| {
-                let t = span_start(timing);
-                let out = node.init(ctx, rng);
-                (out, span_nanos(t))
-            })
+            .map(|((node, ctx), rng)| node.init(ctx, rng))
             .collect();
         prof_record(prof, Section::Compute, t_init);
-        if timing {
-            for (v, (_, nanos)) in init.iter().enumerate() {
-                rec(SimEvent::NodeCompute {
-                    round: 0,
-                    node: v,
-                    nanos: *nanos,
-                });
-            }
-        }
-        let mut outboxes: Vec<PairOutbox<A::Msg>> = init.into_iter().map(|(o, _)| o).collect();
 
         let mut completed = nodes.iter().all(|nd| nd.halted());
 
-        // Per-run buffers, reused every round: inboxes (cleared in place),
-        // the per-destination accounting scratch, and the per-node
-        // compute-span slots. Destination membership is a packed u64
-        // bitmap (`seen_words`) with a word-granular dirty list
-        // (`touched_words`, one entry per 64-destination block actually
-        // hit), so both the reset and the settlement sweep cost
-        // O(distinct destination blocks), not O(n), and settlement walks
-        // set bits with `trailing_zeros` instead of a per-destination
-        // branch.
+        // Per-run buffers, reused every round: inboxes (cleared in place)
+        // and the per-destination accounting scratch. Destination
+        // membership is a packed u64 bitmap (`seen_words`) with a
+        // word-granular dirty list (`touched_words`, one entry per
+        // 64-destination block actually hit), so both the reset and the
+        // settlement sweep cost O(distinct destination blocks), not O(n),
+        // and settlement walks set bits with `trailing_zeros` instead of a
+        // per-destination branch.
         let mut inboxes: Vec<Vec<(u32, A::Msg)>> = (0..n).map(|_| Vec::new()).collect();
         let mut dest_bits: Vec<usize> = vec![0; n];
         let mut seen_words: Vec<u64> = vec![0; n.div_ceil(64)];
         let mut touched_words: Vec<u32> = Vec::new();
-        let mut step_nanos: Vec<u64> = vec![u64::MAX; n];
 
         // Causal provenance (tracing only), mirroring `engine.rs`: ids in
         // node order at accounting time, previous-round delivery sets as
@@ -373,31 +356,15 @@ impl<'a> CliqueEngine<'a> {
                 .zip(contexts.par_iter_mut())
                 .zip(rngs.par_iter_mut())
                 .zip(inboxes.par_iter())
-                .zip(step_nanos.par_iter_mut())
-                .for_each(|(((((node, outbox), ctx), rng), inbox), nanos)| {
-                    if node.halted() {
-                        *nanos = u64::MAX;
-                    } else {
+                .for_each(|((((node, outbox), ctx), rng), inbox)| {
+                    if !node.halted() {
                         // Update the round in place; cloning the context
                         // would copy `input_neighbors` every round.
                         ctx.round = round;
-                        let t = span_start(timing);
                         *outbox = node.on_round(ctx, inbox, rng);
-                        *nanos = if timing { span_nanos(t) } else { u64::MAX };
                     }
                 });
             prof_record(prof, Section::Compute, t_step);
-            if timing {
-                for (v, &nanos) in step_nanos.iter().enumerate() {
-                    if nanos != u64::MAX {
-                        rec(SimEvent::NodeCompute {
-                            round,
-                            node: v,
-                            nanos,
-                        });
-                    }
-                }
-            }
 
             rec(SimEvent::RoundEnd {
                 round,

@@ -56,10 +56,10 @@ pub use faults::{
 pub use message::{bits_for_domain, BitSize, BitString, Payload};
 pub use node::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 pub use obsv::{
-    Collector, ComputeTimer, CriticalPathSummary, EventLog, Fanout, FlightConfig, FlightRecorder,
-    FlightTotals, Histogram, JsonlTrace, MetricValue, Metrics, MetricsSnapshot, PhaseStat,
-    Profiler, RoundAgg, RunReport, Section, SimEvent, FLIGHT_RECORD_SCHEMA, FLIGHT_RECORD_VERSION,
-    RUN_REPORT_SCHEMA, RUN_REPORT_VERSION,
+    Collector, CriticalPathSummary, EventLog, Fanout, FlightConfig, FlightRecorder, FlightTotals,
+    Histogram, JsonlTrace, MetricValue, Metrics, MetricsSnapshot, PhaseStat, Profiler, RoundAgg,
+    RunReport, Section, SimEvent, FLIGHT_RECORD_SCHEMA, FLIGHT_RECORD_VERSION, RUN_REPORT_SCHEMA,
+    RUN_REPORT_VERSION,
 };
 pub use reliable::{Reliable, ReliableConfig};
 pub use simulation::{CliqueRun, Degraded, Outcome, Overrides, Prepared, RunResult, Simulation};

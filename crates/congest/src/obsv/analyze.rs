@@ -366,8 +366,14 @@ pub fn critical_path(events: &[SimEvent]) -> CriticalPathSummary {
 /// * message ids are unique within a segment;
 /// * every `deps` entry of a send was actually delivered (or delivered
 ///   corrupted) to the sender in the previous round;
-/// * `RoundEnd.dropped` covers at least the recorded `Drop` events and
-///   `RoundEnd.corrupted` matches the `Corrupt` events exactly.
+/// * the delivery ledger (see [`crate::obsv::collect`]): no `(msg_id,
+///   receiver)` has more than one fate (`Deliver`, `Drop` or `Corrupt`),
+///   and each `RoundEnd`'s `dropped` and `corrupted` tallies equal its
+///   round's `Drop` and `Corrupt` events. A [`JsonlTrace`] that hits its
+///   capacity cuts only the tail, so every round with a `RoundEnd` still
+///   holds all of its events and equality is required even then.
+///
+/// [`JsonlTrace`]: crate::obsv::JsonlTrace
 pub fn check(events: &[SimEvent]) -> Vec<String> {
     let mut out = Vec::new();
     for (si, seg) in segments(events).iter().enumerate() {
@@ -381,6 +387,8 @@ pub fn check(events: &[SimEvent]) -> Vec<String> {
         let mut load: HashMap<usize, (usize, HashMap<usize, usize>)> = HashMap::new();
         let mut drops = 0u64;
         let mut corrupts = 0u64;
+        // `(msg_id, receiver)` pairs that met their fate this round.
+        let mut fates: HashSet<(u64, usize)> = HashSet::new();
         let viol = |msg: String, out: &mut Vec<String>| {
             out.push(format!("segment {si}: {msg}"));
         };
@@ -400,6 +408,7 @@ pub fn check(events: &[SimEvent]) -> Vec<String> {
                     load.clear();
                     drops = 0;
                     corrupts = 0;
+                    fates.clear();
                     delivered_prev = std::mem::take(&mut delivered_cur);
                 }
                 SimEvent::Send {
@@ -439,15 +448,23 @@ pub fn check(events: &[SimEvent]) -> Vec<String> {
                         );
                     }
                 }
-                SimEvent::Deliver { to, msg_id, .. } => {
-                    delivered_cur.entry(*to).or_default().insert(*msg_id);
+                SimEvent::Deliver { to, msg_id, .. }
+                | SimEvent::Drop { to, msg_id, .. }
+                | SimEvent::Corrupt { to, msg_id, .. } => {
+                    if !fates.insert((*msg_id, *to)) {
+                        viol(
+                            format!("msg {msg_id} met a second fate at node {to}"),
+                            &mut out,
+                        );
+                    }
+                    if let SimEvent::Drop { .. } = ev {
+                        drops += 1;
+                    } else {
+                        // Corrupted payloads still reach the inbox.
+                        corrupts += u64::from(matches!(ev, SimEvent::Corrupt { .. }));
+                        delivered_cur.entry(*to).or_default().insert(*msg_id);
+                    }
                 }
-                SimEvent::Corrupt { to, msg_id, .. } => {
-                    corrupts += 1;
-                    // Corrupted payloads still reach the inbox.
-                    delivered_cur.entry(*to).or_default().insert(*msg_id);
-                }
-                SimEvent::Drop { .. } => drops += 1,
                 SimEvent::RoundEnd {
                     round,
                     dropped,
@@ -490,7 +507,7 @@ pub fn check(events: &[SimEvent]) -> Vec<String> {
                             }
                         }
                     }
-                    if *dropped < drops {
+                    if *dropped != drops {
                         viol(
                             format!(
                                 "round {round}: {drops} drop events but RoundEnd says {dropped}"
@@ -1036,6 +1053,42 @@ mod tests {
         ];
         let v = check(&events);
         assert!(v.iter().any(|m| m.contains("1 drop events")), "{v:?}");
+    }
+
+    #[test]
+    fn check_flags_a_ledger_with_a_missing_or_doubled_fate() {
+        let drop = |msg_id| SimEvent::Drop {
+            round: 1,
+            from: 0,
+            to: 1,
+            port: 0,
+            bits: 4,
+            msg_id,
+        };
+        // Two sends lost, but only one `Drop` made it into the stream: the
+        // old `RoundEnd.dropped ≥ #Drop` rule let this through.
+        let mut events = vec![
+            meta(2, 0, 0),
+            SimEvent::RoundStart { round: 1 },
+            send(1, 0, 4, 0, &[]),
+            send(1, 0, 4, 1, &[]),
+            drop(0),
+            SimEvent::RoundEnd {
+                round: 1,
+                bits: 8,
+                messages: 2,
+                dropped: 2,
+                corrupted: 0,
+            },
+        ];
+        let v = check(&events);
+        assert_eq!(v, ["segment 0: round 1: 1 drop events but RoundEnd says 2"]);
+        // The missing fate filled in twice for the same receiver: the tally
+        // now balances, but one delivery attempt met two fates.
+        events.insert(5, deliver(1, 0, 1, 4, 1));
+        events.insert(5, drop(1));
+        let v = check(&events);
+        assert_eq!(v, ["segment 0: msg 1 met a second fate at node 1"]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The structured tracing layer: events, the [`Collector`] trait, and the
-//! stock collectors ([`Fanout`], [`JsonlTrace`], [`EventLog`],
-//! [`ComputeTimer`]).
+//! stock collectors ([`Fanout`], [`JsonlTrace`], [`EventLog`]).
 //!
 //! Engines call [`Collector::record`] from *sequential* sections only, in
 //! node order, so the event stream a collector sees is identical at any
@@ -19,12 +18,21 @@
 //! sent. Dropped deliveries never enter a `deps` set; corrupted ones do
 //! (the corrupted payload still reached the algorithm). The DAG is what
 //! [`crate::obsv::analyze`] walks to compute weighted critical paths.
+//!
+//! # The delivery ledger
+//!
+//! The stream is a complete ledger of the wire. Every delivery attempt is
+//! one `(msg_id, receiver)` pair — a unicast has one receiver, a broadcast
+//! (one id) has one per neighbor of its sender — and each attempt gets
+//! exactly one fate event in the round of its send: [`SimEvent::Deliver`],
+//! [`SimEvent::Drop`] (the fault model's loss, or a crashed receiver) or
+//! [`SimEvent::Corrupt`]. A round's [`SimEvent::RoundEnd`] tallies
+//! `dropped` and `corrupted` equal its `Drop` and `Corrupt` event counts.
+//! [`crate::obsv::analyze::check`] rejects a trace that breaks either rule.
 
 use crate::json::{self, Value};
-use crate::obsv::metrics::Histogram;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One structured event from a simulator backend.
 ///
@@ -143,19 +151,6 @@ pub enum SimEvent {
         /// The crashed node.
         node: usize,
     },
-    /// A per-node compute span: how long one node's `init`/`on_round` call
-    /// took. Only emitted when some collector opted in via
-    /// [`Collector::wants_compute_spans`] — wall-clock values are
-    /// inherently non-deterministic, so they never feed the deterministic
-    /// run report.
-    NodeCompute {
-        /// Round of the step (`0` for `init`).
-        round: usize,
-        /// The node that computed.
-        node: usize,
-        /// Wall-clock nanoseconds the step took.
-        nanos: u64,
-    },
     /// End-of-run tallies from the reliable transport.
     TransportSummary {
         /// Data frames retransmitted across all nodes.
@@ -178,13 +173,6 @@ pub trait Collector: Send + Sync {
     /// Receives one event. Called from sequential engine code, in
     /// deterministic order.
     fn record(&self, ev: &SimEvent);
-
-    /// Whether this collector wants [`SimEvent::NodeCompute`] spans. Timing
-    /// costs two `Instant` reads per node per round, so engines only
-    /// measure when some installed collector asks for it.
-    fn wants_compute_spans(&self) -> bool {
-        false
-    }
 
     /// Whether this collector needs causal provenance — the `deps` sets on
     /// [`SimEvent::Send`]. Building them costs per-delivery id bookkeeping
@@ -218,10 +206,6 @@ impl Collector for Fanout {
         for c in &self.0 {
             c.record(ev);
         }
-    }
-
-    fn wants_compute_spans(&self) -> bool {
-        self.0.iter().any(|c| c.wants_compute_spans())
     }
 
     fn wants_provenance(&self) -> bool {
@@ -276,13 +260,12 @@ impl Collector for EventLog {
 }
 
 /// A bounded JSON-lines trace exporter: every event becomes one JSON
-/// object per line, in the order recorded. With compute spans disabled the
-/// dump is byte-identical at any thread count.
+/// object per line, in the order recorded. The dump is byte-identical at
+/// any thread count.
 #[derive(Debug, Default)]
 pub struct JsonlTrace {
     inner: Mutex<JsonlInner>,
     capacity: usize,
-    spans: bool,
 }
 
 #[derive(Debug, Default)]
@@ -298,14 +281,7 @@ impl JsonlTrace {
         JsonlTrace {
             inner: Mutex::new(JsonlInner::default()),
             capacity,
-            spans: false,
         }
-    }
-
-    /// Also captures (non-deterministic) per-node compute spans.
-    pub fn with_compute_spans(mut self) -> Self {
-        self.spans = true;
-        self
     }
 
     /// Lines recorded so far.
@@ -408,9 +384,6 @@ impl JsonlTrace {
             SimEvent::Crash { round, node } => {
                 format!(r#"{{"ev":"crash","round":{round},"node":{node}}}"#)
             }
-            SimEvent::NodeCompute { round, node, nanos } => {
-                format!(r#"{{"ev":"compute","round":{round},"node":{node},"nanos":{nanos}}}"#)
-            }
             SimEvent::TransportSummary {
                 retransmissions,
                 given_up,
@@ -490,11 +463,6 @@ impl JsonlTrace {
                 round: v.int("round")?,
                 node: v.int("node")?,
             },
-            "compute" => SimEvent::NodeCompute {
-                round: v.int("round")?,
-                node: v.int("node")?,
-                nanos: v.int("nanos")?,
-            },
             "transport" => SimEvent::TransportSummary {
                 retransmissions: v.int("retransmissions")?,
                 given_up: v.int("given_up")?,
@@ -570,67 +538,9 @@ impl Collector for JsonlTrace {
         }
     }
 
-    fn wants_compute_spans(&self) -> bool {
-        self.spans
-    }
-
     fn dropped_events(&self) -> u64 {
         self.dropped()
     }
-}
-
-/// Accumulates [`SimEvent::NodeCompute`] spans into a histogram — the
-/// "node-compute-time" metric. Installed internally by
-/// [`Simulation::timed`](crate::Simulation::timed).
-#[derive(Debug, Default)]
-pub struct ComputeTimer {
-    hist: Mutex<Histogram>,
-}
-
-impl ComputeTimer {
-    /// A fresh timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the accumulated histogram, leaving an empty one.
-    pub fn take(&self) -> Histogram {
-        std::mem::take(&mut self.hist.lock())
-    }
-}
-
-impl Collector for ComputeTimer {
-    fn record(&self, ev: &SimEvent) {
-        if let SimEvent::NodeCompute { nanos, .. } = ev {
-            self.hist.lock().observe(*nanos);
-        }
-    }
-
-    fn wants_compute_spans(&self) -> bool {
-        true
-    }
-
-    // Only consumes compute spans — never make `timed(true)` alone pay for
-    // provenance construction.
-    fn wants_provenance(&self) -> bool {
-        false
-    }
-}
-
-/// Starts a compute span if `timing` is on; see [`span_nanos`].
-#[inline]
-pub(crate) fn span_start(timing: bool) -> Option<Instant> {
-    if timing {
-        Some(Instant::now())
-    } else {
-        None
-    }
-}
-
-/// Closes a span opened by [`span_start`] (0 when timing was off).
-#[inline]
-pub(crate) fn span_nanos(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 #[cfg(test)]
@@ -736,18 +646,18 @@ mod tests {
     }
 
     #[test]
-    fn fanout_reaches_all_and_merges_span_wishes() {
-        let a = Arc::new(JsonlTrace::new(8));
-        let b = Arc::new(ComputeTimer::new());
+    fn fanout_reaches_all_and_merges_collector_wishes() {
+        let a = Arc::new(JsonlTrace::new(1));
+        let b = Arc::new(EventLog::new());
         let f = Fanout(vec![a.clone(), b.clone()]);
-        assert!(f.wants_compute_spans(), "ComputeTimer wants spans");
-        f.record(&SimEvent::NodeCompute {
-            round: 1,
-            node: 0,
-            nanos: 500,
-        });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.take().count(), 1);
+        assert!(
+            f.wants_provenance(),
+            "a full-trace collector wants provenance"
+        );
+        f.record(&SimEvent::RoundStart { round: 1 });
+        f.record(&SimEvent::RoundStart { round: 2 });
+        assert_eq!((a.len(), b.len()), (1, 2));
+        assert_eq!(f.dropped_events(), 1, "truncation sums across sinks");
     }
 
     #[test]
@@ -780,14 +690,6 @@ mod tests {
         assert_eq!(got_a, want, "first collector saw a different sequence");
         assert_eq!(got_b, want, "second collector saw a different sequence");
         assert_eq!(log.snapshot(), events, "event log saw a different sequence");
-    }
-
-    #[test]
-    fn plain_jsonl_declines_spans() {
-        assert!(!JsonlTrace::new(4).wants_compute_spans());
-        assert!(JsonlTrace::new(4)
-            .with_compute_spans()
-            .wants_compute_spans());
     }
 
     #[test]

@@ -455,7 +455,7 @@ impl Collector for FlightRecorder {
                     inner.rng = Some(ChaCha8Rng::seed_from_u64(*seed ^ RESERVOIR_SALT));
                 }
             }
-            SimEvent::Phase { .. } | SimEvent::NodeCompute { .. } => {}
+            SimEvent::Phase { .. } => {}
             SimEvent::RoundStart { .. } => {
                 // A fresh bracket; anything stranded in the open buffer
                 // (events between runs) is dropped silently — only full

@@ -6,8 +6,8 @@
 //! the one instrumentation layer all backends feed:
 //!
 //! * [`collect`] — a zero-cost-when-disabled structured tracing layer: the
-//!   [`Collector`] trait receives span/event records (round start/end,
-//!   per-node compute spans, send/drop/corrupt/crash, transport tallies)
+//!   [`Collector`] trait receives event records (round start/end,
+//!   send/deliver/drop/corrupt/crash, transport tallies)
 //!   from the CONGEST engine, the congested-clique engine, and the reliable
 //!   transport, all in the one [`SimEvent`] schema. The stock collectors
 //!   are the in-memory [`EventLog`], the bounded [`JsonlTrace`], and the
@@ -27,11 +27,12 @@
 //!   installed, exported as [`Metrics`] histograms or folded stacks.
 //!
 //! Determinism contract: every event the engines emit is recorded from
-//! sequential code in node order, so collectors observe an identical event
-//! stream at any `RAYON_NUM_THREADS`. The single exception is wall-clock
-//! compute-span timing ([`SimEvent::NodeCompute`]), which is only captured
-//! when a collector opts in via [`Collector::wants_compute_spans`] and is
-//! therefore excluded from the deterministic run report by default.
+//! sequential code in node order and carries no wall-clock value, so a
+//! run's event stream is a pure function of (graph, configuration, seed)
+//! and collectors observe an identical stream at any `RAYON_NUM_THREADS`.
+//! Wall-clock time is measured in one place only, the opt-in
+//! [`profile::Profiler`], whose histograms never reach an event, a
+//! deterministic run report or a golden file.
 
 pub mod analyze;
 pub mod collect;
@@ -44,7 +45,7 @@ pub use analyze::{
     check, critical_path, diff, heatmap, idle_tail, CriticalPathSummary, IdleTailSummary,
     PhasePath, SegmentIdleTail, SegmentPath,
 };
-pub use collect::{Collector, ComputeTimer, EventLog, Fanout, JsonlTrace, SimEvent};
+pub use collect::{Collector, EventLog, Fanout, JsonlTrace, SimEvent};
 pub use flight::{
     FlightConfig, FlightRecorder, FlightTotals, RoundAgg, TopEntry, FLIGHT_RECORD_SCHEMA,
     FLIGHT_RECORD_VERSION,

@@ -10,9 +10,9 @@
 //! tools (`flamegraph.pl`, inferno, speedscope).
 //!
 //! Wall-clock values are inherently non-deterministic, so profiler output
-//! never feeds the deterministic run report or the golden files — same
-//! contract as [`SimEvent::NodeCompute`](crate::SimEvent::NodeCompute)
-//! spans.
+//! never feeds an event, the deterministic run report or the golden files:
+//! the profiler is the engines' only clock (see the determinism contract in
+//! [`crate::obsv`]).
 
 use crate::obsv::metrics::{Histogram, Metrics};
 use parking_lot::Mutex;
@@ -118,8 +118,8 @@ impl Profiler {
     }
 
     /// Installs one `profile.<section>_nanos` histogram per non-empty
-    /// section into `metrics` (mirrors how `compute.node_nanos` rides
-    /// along: present only when measured, never in deterministic reports).
+    /// section into `metrics`: present only when measured, never in
+    /// deterministic reports.
     pub fn install_into(&self, metrics: &mut Metrics) {
         for section in SECTIONS {
             let hist = self.histogram(section);

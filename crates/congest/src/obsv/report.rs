@@ -298,17 +298,6 @@ impl RunReport {
                 );
             }
         }
-        if let Some(h) = self.metrics.hist("compute.node_nanos") {
-            row(
-                "node compute",
-                format!(
-                    "{} spans, mean {:.0} ns, max {} ns",
-                    h.count(),
-                    h.mean(),
-                    h.max()
-                ),
-            );
-        }
         out
     }
 }

@@ -72,7 +72,7 @@ use crate::engine::{Bandwidth, Engine, EnginePlan};
 use crate::error::SimError;
 use crate::faults::{FaultReport, FaultSpec};
 use crate::node::{Decision, NodeAlgorithm};
-use crate::obsv::collect::{Collector, ComputeTimer, Fanout};
+use crate::obsv::collect::{Collector, Fanout};
 use crate::obsv::flight::FlightRecorder;
 use crate::obsv::metrics::{Metrics, MetricsSnapshot};
 use crate::obsv::profile::Profiler;
@@ -94,8 +94,10 @@ pub struct Outcome {
     pub decisions: Vec<Decision>,
     /// Exact traffic and round statistics.
     pub stats: RunStats,
-    /// Whether every live node halted before the round limit (crashed
-    /// nodes count as halted — they can never halt voluntarily).
+    /// Whether the run ended before the round limit: every live node
+    /// halted (crashed nodes count as halted — they can never halt
+    /// voluntarily), or, under early termination, every live node was
+    /// quiescent with nothing in flight.
     pub completed: bool,
     /// What the fault layer (and reliable transport) did to this run
     /// (all-zeros for fault-free runs).
@@ -330,7 +332,6 @@ pub(crate) struct SimConfig {
     pub(crate) reliable: Option<ReliableConfig>,
     pub(crate) collector: Option<Arc<dyn Collector>>,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
-    pub(crate) timed: bool,
     pub(crate) profiler: Option<Arc<Profiler>>,
     pub(crate) shards: usize,
     pub(crate) early_termination: bool,
@@ -348,7 +349,6 @@ impl Default for SimConfig {
             reliable: None,
             collector: None,
             flight: None,
-            timed: false,
             profiler: None,
             shards: 0,
             early_termination: false,
@@ -384,19 +384,15 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Every installed sink — the user collector, the flight recorder, and
-    /// the compute timer of a timed run — as the one handle an engine
-    /// records to.
-    fn combined_collector(&self, timer: Option<&Arc<ComputeTimer>>) -> Option<Arc<dyn Collector>> {
+    /// Every installed sink — the user collector and the flight recorder —
+    /// as the one handle an engine records to.
+    fn combined_collector(&self) -> Option<Arc<dyn Collector>> {
         let mut sinks: Vec<Arc<dyn Collector>> = Vec::new();
         if let Some(c) = &self.collector {
             sinks.push(Arc::clone(c));
         }
         if let Some(f) = &self.flight {
             sinks.push(Arc::clone(f) as Arc<dyn Collector>);
-        }
-        if let Some(t) = timer {
-            sinks.push(Arc::clone(t) as Arc<dyn Collector>);
         }
         match sinks.len() {
             0 => None,
@@ -409,17 +405,9 @@ impl SimConfig {
     /// [`Prepared`] reset-in-place path: bucket storage is reused across a
     /// batch) when given, into a fresh registry otherwise. Both produce
     /// identical snapshots (see [`Metrics::reset`]).
-    fn finish(
-        &self,
-        mut outcome: Outcome,
-        timer: Option<Arc<ComputeTimer>>,
-        scratch: Option<&Mutex<Metrics>>,
-    ) -> Outcome {
+    fn finish(&self, mut outcome: Outcome, scratch: Option<&Mutex<Metrics>>) -> Outcome {
         let populate = |m: &mut Metrics| {
             m.record_run(&outcome.stats, &outcome.faults);
-            if let Some(t) = &timer {
-                m.install_hist("compute.node_nanos", t.take());
-            }
             if let Some(p) = &self.profiler {
                 p.install_into(m);
             }
@@ -475,7 +463,6 @@ impl SimConfig {
         F: Fn(usize) -> A + Sync,
     {
         self.validate(graph.n())?;
-        let timer = self.timed.then(|| Arc::new(ComputeTimer::new()));
         // Shard layout + reverse-port table: staged by `Prepared` across a
         // batch, or built here for a one-shot run — identical either way.
         let built;
@@ -486,7 +473,7 @@ impl SimConfig {
                 &built
             }
         };
-        let engine = Engine::new(graph, plan, self, self.combined_collector(timer.as_ref()));
+        let engine = Engine::new(graph, plan, self, self.combined_collector());
         let result = match self.reliable {
             Some(cfg) => run_reliable_impl(&engine, cfg, make),
             None => engine.run(make),
@@ -502,7 +489,7 @@ impl SimConfig {
                 return Err(e);
             }
         };
-        Ok((self.finish(outcome, timer, scratch), nodes))
+        Ok((self.finish(outcome, scratch), nodes))
     }
 
     fn run_clique_impl<A, F>(
@@ -540,10 +527,8 @@ impl SimConfig {
                 "unbounded bandwidth on the clique engine".into(),
             ));
         }
-        let timer = self.timed.then(|| Arc::new(ComputeTimer::new()));
-        let collector = self.combined_collector(timer.as_ref());
-        let mut run = CliqueEngine::new(graph, self, collector).run(make)?;
-        run.outcome = self.finish(run.outcome, timer, scratch);
+        let mut run = CliqueEngine::new(graph, self, self.combined_collector()).run(make)?;
+        run.outcome = self.finish(run.outcome, scratch);
         Ok(run)
     }
 }
@@ -637,20 +622,12 @@ impl<'g> Simulation<'g> {
         self
     }
 
-    /// Also measures per-node compute time (wall-clock). The resulting
-    /// `compute.node_nanos` histogram lands in [`Outcome::metrics`] — note
-    /// it is inherently non-deterministic, unlike every other metric.
-    pub fn timed(mut self, on: bool) -> Self {
-        self.cfg.timed = on;
-        self
-    }
-
     /// Installs the engine self-profiler (see [`crate::obsv::profile`]):
     /// the run's accounting / staging / delivery / compute / ARQ sections
     /// are timed into the shared [`Profiler`], and its section histograms
-    /// land in [`Outcome::metrics`] as `profile.*_nanos`. Like
-    /// [`Self::timed`], the values are wall-clock and therefore
-    /// non-deterministic; the engines pay one branch per section per round
+    /// land in [`Outcome::metrics`] as `profile.*_nanos`. These are the
+    /// only wall-clock (so non-deterministic) values a run produces; the
+    /// engines pay one branch per section per round
     /// when no profiler is installed.
     pub fn profiler(mut self, p: Arc<Profiler>) -> Self {
         self.cfg.profiler = Some(p);
@@ -1051,25 +1028,6 @@ mod tests {
             .hist("profile.arq_retransmit_nanos")
             .expect("ARQ scan must be timed under the reliable route");
         assert!(h.count() > 0);
-    }
-
-    #[test]
-    fn timed_runs_collect_compute_histogram() {
-        let g = graphlib::generators::cycle(4);
-        let out = Simulation::on(&g)
-            .bandwidth(Bandwidth::Bits(64))
-            .timed(true)
-            .run(|_| beacon())
-            .unwrap();
-        let h = out.metrics.hist("compute.node_nanos").expect("timed hist");
-        // 4 init spans + 4 round-1 spans.
-        assert_eq!(h.count(), 8);
-        // Untimed runs must not carry the non-deterministic histogram.
-        let plain = Simulation::on(&g)
-            .bandwidth(Bandwidth::Bits(64))
-            .run(|_| beacon())
-            .unwrap();
-        assert!(plain.metrics.hist("compute.node_nanos").is_none());
     }
 
     /// Every node reports its input-degree to node 0.

@@ -409,11 +409,6 @@ fn every_kind(name: &str, [a, b, c, d]: [u64; 4], port: usize, deps: &[u64]) -> 
             round: ua,
             node: ub,
         },
-        SimEvent::NodeCompute {
-            round: ua,
-            node: ub,
-            nanos: d,
-        },
         SimEvent::TransportSummary {
             retransmissions: a,
             given_up: b,

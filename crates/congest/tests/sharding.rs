@@ -254,6 +254,94 @@ fn fault_stack(g: &Graph, loss: f64, flip: f64) -> FaultSpec {
     ])
 }
 
+/// The fault stacks of the ledger matrix; each includes crash-stop.
+fn crash_stack(g: &Graph, which: usize, loss: f64, flip: f64) -> FaultSpec {
+    match which {
+        0 => FaultSpec::CrashStop(CrashStop::random(2, 3)),
+        1 => FaultSpec::Stack(vec![
+            FaultSpec::CrashStop(CrashStop::at(vec![(0, 1), (g.n() - 1, 2)])),
+            FaultSpec::IndependentLoss(loss),
+        ]),
+        _ => fault_stack(g, loss, flip),
+    }
+}
+
+/// Checks the delivery ledger of `congest::obsv::collect` on one run:
+/// the `(round, msg_id, receiver)` attempts its `Send`s imply (a unicast
+/// reaches the neighbor behind its port, a broadcast every neighbor) are
+/// exactly the ones its fate events name, each once; every `RoundEnd`
+/// tallies its round's `Drop` and `Corrupt` events; the fate totals are
+/// the run's fault report; and `obsv::check` finds nothing.
+fn assert_exact_ledger(g: &Graph, o: &Observed) {
+    let mut implied = Vec::new();
+    let mut fated = Vec::new();
+    let (mut delivered, mut dropped, mut corrupted) = (0u64, 0u64, 0u64);
+    let (mut round_dropped, mut round_corrupted) = (0u64, 0u64);
+    for ev in &o.events {
+        match ev {
+            SimEvent::Send {
+                round,
+                from,
+                port,
+                msg_id,
+                ..
+            } => {
+                let nbrs = g.neighbors(*from);
+                let to: &[u32] = if *port == usize::MAX {
+                    nbrs
+                } else {
+                    std::slice::from_ref(&nbrs[*port])
+                };
+                implied.extend(to.iter().map(|&v| (*round, *msg_id, v as usize)));
+            }
+            SimEvent::Deliver {
+                round, msg_id, to, ..
+            } => {
+                delivered += 1;
+                fated.push((*round, *msg_id, *to));
+            }
+            SimEvent::Drop {
+                round, msg_id, to, ..
+            } => {
+                round_dropped += 1;
+                fated.push((*round, *msg_id, *to));
+            }
+            SimEvent::Corrupt {
+                round, msg_id, to, ..
+            } => {
+                round_corrupted += 1;
+                fated.push((*round, *msg_id, *to));
+            }
+            SimEvent::RoundEnd {
+                round,
+                dropped: d,
+                corrupted: c,
+                ..
+            } => {
+                assert_eq!(
+                    (*d, *c),
+                    (round_dropped, round_corrupted),
+                    "round {}",
+                    round
+                );
+                dropped += round_dropped;
+                corrupted += round_corrupted;
+                (round_dropped, round_corrupted) = (0, 0);
+            }
+            _ => {}
+        }
+    }
+    implied.sort_unstable();
+    fated.sort_unstable();
+    assert_eq!(implied, fated, "one fate per delivery attempt");
+    assert_eq!(
+        (delivered, dropped, corrupted),
+        (o.delivered, o.dropped, o.corrupted)
+    );
+    let violations = congest::obsv::check(&o.events);
+    assert!(violations.is_empty(), "{:?}", violations);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -296,6 +384,29 @@ proptest! {
         let reference = setup.naive();
         for shards in [1usize, 2, 7] {
             prop_assert_eq!(&setup.engine(shards), &reference, "shards = {}", shards);
+        }
+    }
+
+    // The event stream is an exact ledger, on the naive referee and on the
+    // engine at shard counts {1, 2, 7}, under fault stacks with crash-stop
+    // (whose lost deliveries to a crashed receiver are `Drop`s too).
+    #[test]
+    fn event_stream_is_an_exact_ledger(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        rounds in 1usize..5,
+        which in 0usize..3,
+        loss in 0.0f64..0.5,
+        flip in 0.0f64..0.3,
+    ) {
+        let setup = Setup::new(&g, seed, rounds, crash_stack(&g, which, loss, flip));
+        let reference = setup.naive();
+        prop_assert!(reference.is_ok(), "{:?}", reference.as_ref().err());
+        assert_exact_ledger(&g, reference.as_ref().unwrap());
+        for shards in [1usize, 2, 7] {
+            let run = setup.engine(shards);
+            prop_assert!(run.is_ok(), "shards = {}: {:?}", shards, run.as_ref().err());
+            assert_exact_ledger(&g, run.as_ref().unwrap());
         }
     }
 }

@@ -56,13 +56,16 @@ pub struct EvenCycleConfig {
     /// per rayon lane). Purely a parallel-grain knob: every run is
     /// byte-identical at any value.
     pub shards: usize,
-    /// Run the fault-free engine with causal early termination: once every
+    /// Run the engine with causal early termination: once every live
     /// node is [`NodeAlgorithm::quiescent`] and no message is in flight,
     /// the remaining (purely clock-ticking) rounds of the phase schedule
-    /// are skipped. Decisions are unchanged; executed round counts (and
-    /// the per-round stat series) reflect the truncated run, so leave this
-    /// off for golden-file and referee comparisons. The faulty driver
-    /// ignores it — a pending crash schedule must be allowed to fire.
+    /// are skipped. Executed round counts (and the per-round stat series)
+    /// reflect the truncated run, so leave this off for golden-file and
+    /// referee comparisons. Fault-free decisions are unchanged. Under
+    /// faults the cut also skips crashes scheduled after it, so a node
+    /// that rejected before the cut stays a surviving rejecter; that can
+    /// only add detections a full-length run would lose to a crash, never
+    /// a false one.
     pub early_termination: bool,
 }
 
@@ -105,7 +108,7 @@ impl EvenCycleConfig {
         self
     }
 
-    /// Enables causal early termination for the fault-free driver (see
+    /// Enables causal early termination (see
     /// [`EvenCycleConfig::early_termination`]).
     pub fn early_termination(mut self, on: bool) -> Self {
         self.early_termination = on;
@@ -717,31 +720,24 @@ fn absorb_stats(acc: &mut RunStats, s: &RunStats) {
         .extend_from_slice(&s.per_round_messages);
 }
 
-/// Tracks per-phase round/bit tallies across repetitions and renders them
-/// as the `phases` section of a run report.
+/// Tracks per-phase `(rounds, bits)` tallies across repetitions and
+/// renders them as the `phases` section of a run report.
 #[derive(Default)]
-struct PhaseTally {
-    p1_rounds: u64,
-    p1_bits: u64,
-    p2_rounds: u64,
-    p2_bits: u64,
-}
+struct PhaseTally([(u64, u64); 2]);
 
 impl PhaseTally {
-    fn phase1(&mut self, stats: &RunStats) {
-        self.p1_rounds += stats.rounds as u64;
-        self.p1_bits += stats.total_bits;
-    }
-
-    fn phase2(&mut self, stats: &RunStats) {
-        self.p2_rounds += stats.rounds as u64;
-        self.p2_bits += stats.total_bits;
+    /// Adds one run of `phase` (1 or 2).
+    fn add(&mut self, phase: u64, stats: &RunStats) {
+        let t = &mut self.0[phase as usize - 1];
+        t.0 += stats.rounds as u64;
+        t.1 += stats.total_bits;
     }
 
     fn render(&self) -> Vec<PhaseStat> {
+        let [(r1, b1), (r2, b2)] = self.0;
         vec![
-            PhaseStat::new("phase1", self.p1_rounds as usize, self.p1_bits),
-            PhaseStat::new("phase2", self.p2_rounds as usize, self.p2_bits),
+            PhaseStat::new("phase1", r1 as usize, b1),
+            PhaseStat::new("phase2", r2 as usize, b2),
         ]
     }
 }
@@ -855,25 +851,37 @@ pub fn detect_even_cycle_observed(
     cfg: EvenCycleConfig,
     obs: &EvenCycleObserver,
 ) -> Result<EvenCycleReport, SimError> {
-    // One staged topology for the whole amplification loop: both phases of
-    // every repetition share the engine plan and only override seed and
-    // round cap per run. Results are identical to per-phase one-shot
-    // builds — staging is pure amortization.
-    let prepared = obs.install(stage_even_cycle(g, &cfg)).prepare();
-    run_amplification(&prepared, &cfg, obs)
+    detect_even_cycle_faulty_observed(g, cfg, &FaultSpec::None, None, obs)
+        .map(FaultyEvenCycleReport::fault_free)
 }
 
-/// The staged (but not yet prepared) fault-free detector simulation —
-/// every topology-pure knob the amplification loop fixes up front:
-/// bandwidth (derived from the schedule), shard count, and the
-/// early-termination flag.
-fn stage_even_cycle<'g>(g: &'g Graph, cfg: &EvenCycleConfig) -> Simulation<'g> {
+/// The staged (but not yet prepared) detector simulation: every knob the
+/// amplification loop fixes up front. These are the bandwidth (derived from
+/// the schedule, widened to the ARQ envelope when a transport is
+/// configured), the fault spec, the shard count and early termination. One
+/// staged topology serves both phases of every repetition, which override
+/// only seed and round cap per run; results are identical to per-phase
+/// one-shot builds, so staging is pure amortization.
+fn stage<'g>(
+    g: &'g Graph,
+    cfg: &EvenCycleConfig,
+    faults: &FaultSpec,
+    transport: Option<ReliableConfig>,
+) -> Simulation<'g> {
     assert!(cfg.k >= 2);
-    let sched = Schedule::derive(g.n(), cfg.k, cfg.edge_bound_override);
-    Simulation::on(g)
-        .bandwidth(Bandwidth::Bits(sched.required_bandwidth.max(8)))
+    let inner = Schedule::derive(g.n(), cfg.k, cfg.edge_bound_override)
+        .required_bandwidth
+        .max(8);
+    let sim = Simulation::on(g)
+        .faults(faults.clone())
         .shards(cfg.shards)
-        .early_termination(cfg.early_termination)
+        .early_termination(cfg.early_termination);
+    match transport {
+        None => sim.bandwidth(Bandwidth::Bits(inner)),
+        Some(rcfg) => sim
+            .bandwidth(Bandwidth::Bits(rcfg.required_bandwidth(inner)))
+            .reliable_config(rcfg),
+    }
 }
 
 /// Stages the fault-free detector's topology once, for reuse across many
@@ -883,7 +891,7 @@ fn stage_even_cycle<'g>(g: &'g Graph, cfg: &EvenCycleConfig) -> Simulation<'g> {
 /// `seed` and `repetitions` ride in per run — so a service can cache the returned
 /// handle keyed on those and skip the plan rebuild per query.
 pub fn prepare_even_cycle(g: &Graph, cfg: &EvenCycleConfig) -> congest::Prepared {
-    stage_even_cycle(g, cfg).prepare()
+    stage(g, cfg, &FaultSpec::None, None).prepare()
 }
 
 /// Runs the amplification loop on an already-prepared topology from
@@ -894,76 +902,79 @@ pub fn detect_even_cycle_prepared(
     cfg: EvenCycleConfig,
     prepared: &congest::Prepared,
 ) -> Result<EvenCycleReport, SimError> {
-    run_amplification(prepared, &cfg, &EvenCycleObserver::default())
+    amplify(prepared, &cfg, None, &EvenCycleObserver::default())
+        .map(FaultyEvenCycleReport::fault_free)
 }
 
-/// The shared amplification loop: repeat (Phase I, Phase II) with fresh
-/// per-repetition seeds on the staged topology until a rejection or the
-/// repetition budget runs out.
-fn run_amplification(
+/// The seed of `phase` (1 or 2) in repetition `rep`: `seed ^ (2·rep + phase)`.
+fn phase_seed(seed: u64, rep: u64, phase: u64) -> u64 {
+    seed ^ rep.wrapping_mul(2).wrapping_add(phase)
+}
+
+/// The amplification loop of every driver: repeat (Phase I, Phase II) with
+/// fresh per-repetition seeds on the staged topology until a *surviving*
+/// node rejects or the repetition budget runs out. With nothing crashed
+/// every node survives, so the fault-free drivers share the rule. Each
+/// phase is capped at its budget plus two rounds, counted in physical
+/// rounds when `transport` is the ARQ `prepared` was staged with.
+fn amplify(
     prepared: &congest::Prepared,
     cfg: &EvenCycleConfig,
+    transport: Option<ReliableConfig>,
     obs: &EvenCycleObserver,
-) -> Result<EvenCycleReport, SimError> {
-    assert!(cfg.k >= 2);
+) -> Result<FaultyEvenCycleReport, SimError> {
     assert!(
         cfg.repetitions >= 1,
         "detector needs at least one repetition"
     );
     let sched = Schedule::derive(prepared.graph().n(), cfg.k, cfg.edge_bound_override);
+    let cap = |budget: usize| transport.map_or(budget + 2, |t| t.physical_rounds(budget + 2));
     let mut agg: Option<RunStats> = None;
     let mut tally = PhaseTally::default();
+    let mut faults = FaultReport::default();
+    let mut degraded = None;
     let mut detected = false;
     let mut reps = 0usize;
 
-    for rep in 0..cfg.repetitions {
+    'reps: for rep in 0..cfg.repetitions {
         reps += 1;
-        let s1 = sched.clone();
-        obs.mark_phase("phase1", rep);
-        let out1 = prepared.run_with(
-            &Overrides::new()
-                .seed(cfg.seed ^ (rep as u64).wrapping_mul(2).wrapping_add(1))
-                .max_rounds(sched.r1_rounds + 2),
-            move |_| ColorBfsNode::new(s1.clone()),
-        )?;
-        tally.phase1(&out1.stats);
-        match &mut agg {
-            None => agg = Some(out1.stats.clone()),
-            Some(a) => absorb_stats(a, &out1.stats),
-        }
-        if out1.network_rejects() {
-            detected = true;
-            break;
-        }
-
-        let s2 = sched.clone();
-        obs.mark_phase("phase2", rep);
-        let out2 = prepared.run_with(
-            &Overrides::new()
-                .seed(cfg.seed ^ (rep as u64).wrapping_mul(2).wrapping_add(2))
-                .max_rounds(sched.r2_rounds + 2),
-            move |_| LayerPrefixNode::new(s2.clone()),
-        )?;
-        tally.phase2(&out2.stats);
-        if let Some(a) = &mut agg {
-            absorb_stats(a, &out2.stats);
-        }
-        if out2.network_rejects() {
-            detected = true;
-            break;
+        for phase in [1, 2] {
+            let s = sched.clone();
+            let ovr = Overrides::new().seed(phase_seed(cfg.seed, rep as u64, phase));
+            let out = if phase == 1 {
+                obs.mark_phase("phase1", rep);
+                let ovr = ovr.max_rounds(cap(sched.r1_rounds));
+                prepared.run_with(&ovr, move |_| ColorBfsNode::new(s.clone()))?
+            } else {
+                obs.mark_phase("phase2", rep);
+                let ovr = ovr.max_rounds(cap(sched.r2_rounds));
+                prepared.run_with(&ovr, move |_| LayerPrefixNode::new(s.clone()))?
+            };
+            tally.add(phase, &out.stats);
+            match &mut agg {
+                None => agg = Some(out.stats.clone()),
+                Some(a) => absorb_stats(a, &out.stats),
+            }
+            faults.absorb(&out.faults);
+            fold_degraded(&mut degraded, &out.degraded);
+            if out.surviving_node_rejects() {
+                detected = true;
+                break 'reps;
+            }
         }
     }
 
     let stats = agg.expect("at least one repetition ran");
-    Ok(EvenCycleReport {
+    Ok(FaultyEvenCycleReport {
         detected,
         repetitions_run: reps,
         total_rounds: stats.rounds,
         total_bits: stats.total_bits,
-        rounds_per_repetition: sched.r1_rounds + sched.r2_rounds,
+        faults,
         schedule: sched,
         phases: tally.render(),
         stats,
+        degraded,
     })
 }
 
@@ -977,11 +988,9 @@ pub fn theorem_bound(n: usize, k: usize) -> f64 {
 /// cycles through high-degree nodes and nothing else.
 pub fn run_phase1_once(g: &Graph, cfg: &EvenCycleConfig, rep: u64) -> Result<bool, SimError> {
     let sched = Schedule::derive(g.n(), cfg.k, cfg.edge_bound_override);
-    let bandwidth = Bandwidth::Bits(sched.required_bandwidth.max(8));
     let s = sched.clone();
-    let out = Simulation::on(g)
-        .bandwidth(bandwidth)
-        .seed(cfg.seed ^ rep.wrapping_mul(2).wrapping_add(1))
+    let out = stage(g, cfg, &FaultSpec::None, None)
+        .seed(phase_seed(cfg.seed, rep, 1))
         .max_rounds(sched.r1_rounds + 2)
         .run(move |_| ColorBfsNode::new(s.clone()))?;
     Ok(out.network_rejects())
@@ -991,11 +1000,9 @@ pub fn run_phase1_once(g: &Graph, cfg: &EvenCycleConfig, rep: u64) -> Result<boo
 /// cycles among low-degree nodes and nothing else.
 pub fn run_phase2_once(g: &Graph, cfg: &EvenCycleConfig, rep: u64) -> Result<bool, SimError> {
     let sched = Schedule::derive(g.n(), cfg.k, cfg.edge_bound_override);
-    let bandwidth = Bandwidth::Bits(sched.required_bandwidth.max(8));
     let s = sched.clone();
-    let out = Simulation::on(g)
-        .bandwidth(bandwidth)
-        .seed(cfg.seed ^ rep.wrapping_mul(2).wrapping_add(2))
+    let out = stage(g, cfg, &FaultSpec::None, None)
+        .seed(phase_seed(cfg.seed, rep, 2))
         .max_rounds(sched.r2_rounds + 2)
         .run(move |_| LayerPrefixNode::new(s.clone()))?;
     Ok(out.network_rejects())
@@ -1056,6 +1063,21 @@ impl FaultyEvenCycleReport {
         .with_phases(self.phases.clone())
         .with_degradation(self.degraded.clone(), n)
     }
+
+    /// The fault-free drivers' view of a run staged without faults: the
+    /// all-zero fault tally and the absent degradation verdict are dropped.
+    fn fault_free(self) -> EvenCycleReport {
+        EvenCycleReport {
+            detected: self.detected,
+            repetitions_run: self.repetitions_run,
+            total_rounds: self.total_rounds,
+            total_bits: self.total_bits,
+            rounds_per_repetition: self.schedule.r1_rounds + self.schedule.r2_rounds,
+            schedule: self.schedule,
+            stats: self.stats,
+            phases: self.phases,
+        }
+    }
 }
 
 /// Keeps the weakest degradation verdict seen so far (lowest confidence
@@ -1066,27 +1088,6 @@ fn fold_degraded(acc: &mut Option<congest::Degraded>, next: &Option<congest::Deg
             *acc = Some(d.clone());
         }
     }
-}
-
-/// Stages the faulty detector's topology once: the fault spec, and — when a
-/// transport is configured — the ARQ envelope's bandwidth, are fixed across
-/// the whole amplification loop, so both live in the staged configuration;
-/// phases override only seed and (physical) round cap.
-fn prepare_faulty(
-    g: &Graph,
-    inner_bandwidth: usize,
-    faults: &FaultSpec,
-    transport: Option<ReliableConfig>,
-    obs: &EvenCycleObserver,
-) -> congest::Prepared {
-    let sim = obs.install(Simulation::on(g)).faults(faults.clone());
-    match transport {
-        None => sim.bandwidth(Bandwidth::Bits(inner_bandwidth)),
-        Some(rcfg) => sim
-            .bandwidth(Bandwidth::Bits(rcfg.required_bandwidth(inner_bandwidth)))
-            .reliable_config(rcfg),
-    }
-    .prepare()
 }
 
 /// Runs the Theorem 1.1 detector on `g` with fault injection.
@@ -1121,82 +1122,8 @@ pub fn detect_even_cycle_faulty_observed(
     transport: Option<ReliableConfig>,
     obs: &EvenCycleObserver,
 ) -> Result<FaultyEvenCycleReport, SimError> {
-    assert!(cfg.k >= 2);
-    assert!(
-        cfg.repetitions >= 1,
-        "detector needs at least one repetition"
-    );
-    let sched = Schedule::derive(g.n(), cfg.k, cfg.edge_bound_override);
-    let inner_bandwidth = sched.required_bandwidth.max(8);
-    let mut agg: Option<RunStats> = None;
-    let mut tally = PhaseTally::default();
-    let mut faults_seen = FaultReport::default();
-    let mut degraded = None;
-    let mut detected = false;
-    let mut reps = 0usize;
-
-    let prepared = prepare_faulty(g, inner_bandwidth, faults, transport, obs);
-    let phase_rounds = |inner: usize| match transport {
-        None => inner,
-        Some(rcfg) => rcfg.physical_rounds(inner),
-    };
-
-    for rep in 0..cfg.repetitions {
-        reps += 1;
-        let s1 = sched.clone();
-        obs.mark_phase("phase1", rep);
-        let out1 = prepared.run_with(
-            &Overrides::new()
-                .seed(cfg.seed ^ (rep as u64).wrapping_mul(2).wrapping_add(1))
-                .max_rounds(phase_rounds(sched.r1_rounds + 2)),
-            move |_| ColorBfsNode::new(s1.clone()),
-        )?;
-        tally.phase1(&out1.stats);
-        match &mut agg {
-            None => agg = Some(out1.stats.clone()),
-            Some(a) => absorb_stats(a, &out1.stats),
-        }
-        let hit1 = out1.surviving_node_rejects();
-        faults_seen.absorb(&out1.faults);
-        fold_degraded(&mut degraded, &out1.degraded);
-        if hit1 {
-            detected = true;
-            break;
-        }
-
-        let s2 = sched.clone();
-        obs.mark_phase("phase2", rep);
-        let out2 = prepared.run_with(
-            &Overrides::new()
-                .seed(cfg.seed ^ (rep as u64).wrapping_mul(2).wrapping_add(2))
-                .max_rounds(phase_rounds(sched.r2_rounds + 2)),
-            move |_| LayerPrefixNode::new(s2.clone()),
-        )?;
-        tally.phase2(&out2.stats);
-        if let Some(a) = &mut agg {
-            absorb_stats(a, &out2.stats);
-        }
-        let hit2 = out2.surviving_node_rejects();
-        faults_seen.absorb(&out2.faults);
-        fold_degraded(&mut degraded, &out2.degraded);
-        if hit2 {
-            detected = true;
-            break;
-        }
-    }
-
-    let stats = agg.expect("at least one repetition ran");
-    Ok(FaultyEvenCycleReport {
-        detected,
-        repetitions_run: reps,
-        total_rounds: stats.rounds,
-        total_bits: stats.total_bits,
-        faults: faults_seen,
-        schedule: sched,
-        phases: tally.render(),
-        stats,
-        degraded,
-    })
+    let prepared = obs.install(stage(g, &cfg, faults, transport)).prepare();
+    amplify(&prepared, &cfg, transport, obs)
 }
 
 #[cfg(test)]
@@ -1455,6 +1382,40 @@ mod tests {
             cut.total_rounds,
             full.total_rounds
         );
+    }
+
+    #[test]
+    fn faulty_driver_without_faults_matches_the_clean_driver() {
+        let mut rng = chacha(9);
+        let base = generators::random_tree(40, &mut rng);
+        let planted = generators::plant_cycle(&base, 4, &mut rng).0;
+        let c4_free = graphlib::turan::c4_free_incidence_graph(3);
+        for g in [&planted, &c4_free] {
+            for seed in 0..4 {
+                for et in [false, true] {
+                    let cfg = EvenCycleConfig::new(2)
+                        .repetitions(6)
+                        .seed(seed)
+                        .early_termination(et);
+                    let clean = detect_even_cycle(g, cfg).unwrap();
+                    let faulty = detect_even_cycle_faulty(g, cfg, &FaultSpec::None, None).unwrap();
+                    let at = format!("n = {}, seed {seed}, early termination {et}", g.n());
+                    assert_eq!(faulty.detected, clean.detected, "{at}");
+                    assert_eq!(faulty.repetitions_run, clean.repetitions_run, "{at}");
+                    assert_eq!(faulty.total_rounds, clean.total_rounds, "{at}");
+                    assert_eq!(faulty.total_bits, clean.total_bits, "{at}");
+                    assert_eq!(
+                        format!("{:?}", faulty.stats),
+                        format!("{:?}", clean.stats),
+                        "{at}"
+                    );
+                    assert!(
+                        faulty.degraded.is_none() && !faulty.faults.any_faults(),
+                        "{at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

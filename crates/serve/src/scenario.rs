@@ -96,7 +96,7 @@ pub fn execute(job: &Job) -> Result<QueryOutcome, SimError> {
             if let Some(m) = edge_bound {
                 cfg = cfg.edge_bound(*m);
             }
-            match faults {
+            let (detected, report, stats) = match faults {
                 None => {
                     // A cached staging (resolved by the service) skips the
                     // per-query bandwidth/shard setup; the run itself is
@@ -105,26 +105,21 @@ pub fn execute(job: &Job) -> Result<QueryOutcome, SimError> {
                         Some(p) => detect_even_cycle_prepared(cfg, p)?,
                         None => detect_even_cycle(&job.graph, cfg)?,
                     };
-                    Ok(QueryOutcome {
-                        detected: rep.detected,
-                        rounds: rep.total_rounds,
-                        total_bits: rep.total_bits,
-                        total_messages: rep.stats.total_messages,
-                        report: rep.run_report(&label),
-                    })
+                    (rep.detected, rep.run_report(&label), rep.stats)
                 }
                 Some(spec) => {
                     let transport = reliable.then(ReliableConfig::default);
                     let rep = detect_even_cycle_faulty(&job.graph, cfg, spec, transport)?;
-                    Ok(QueryOutcome {
-                        detected: rep.detected,
-                        rounds: rep.total_rounds,
-                        total_bits: rep.total_bits,
-                        total_messages: rep.stats.total_messages,
-                        report: rep.run_report(&label),
-                    })
+                    (rep.detected, rep.run_report(&label), rep.stats)
                 }
-            }
+            };
+            Ok(QueryOutcome {
+                detected,
+                rounds: stats.rounds,
+                total_bits: stats.total_bits,
+                total_messages: stats.total_messages,
+                report,
+            })
         }
         ScenarioSpec::CliqueDetect { s, seed, faults } => {
             let prepared = job
@@ -137,15 +132,11 @@ pub fn execute(job: &Job) -> Result<QueryOutcome, SimError> {
                 .seed(*seed)
                 .faults(faults.clone().unwrap_or(FaultSpec::None));
             let out = prepared.run_with(&ovr, move |_| CliqueDetectNode::new(s, horizon))?;
-            // Under faults, only surviving nodes' rejects count as protocol
-            // output — same convention as the faulty even-cycle driver.
-            let detected = if faults.is_some() {
-                out.surviving_node_rejects()
-            } else {
-                out.network_rejects()
-            };
+            // Only surviving nodes' rejects count as protocol output — the
+            // even-cycle drivers' convention; with nothing crashed every
+            // node survives.
             Ok(QueryOutcome {
-                detected,
+                detected: out.surviving_node_rejects(),
                 rounds: out.stats.rounds,
                 total_bits: out.stats.total_bits,
                 total_messages: out.stats.total_messages,

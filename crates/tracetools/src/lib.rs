@@ -571,9 +571,19 @@ mod tests {
 
     #[test]
     fn unknown_event_kind_is_a_loud_error() {
-        let e = parse_jsonl("{\"ev\":\"warp\",\"round\":1}").unwrap_err();
-        assert_eq!(e.line, 1);
-        assert!(e.message.contains("warp"), "{e}");
+        // `compute` is the retired per-node wall-clock span: a dump that
+        // still holds one is refused, not half-read.
+        for (line, kind) in [
+            (r#"{"ev":"warp","round":1}"#, "warp"),
+            (
+                r#"{"ev":"compute","round":1,"node":0,"nanos":5}"#,
+                "compute",
+            ),
+        ] {
+            let e = parse_jsonl(line).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains(kind), "{e}");
+        }
     }
 
     fn report_doc(dropped: u64, version: u32) -> String {

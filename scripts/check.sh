@@ -136,6 +136,23 @@ else
     echo "    one JSON reader and escaper (congest::json)"
 fi
 
+# One clock in the engines: no engine event carries a wall-clock value, so
+# a run's event stream is a pure function of (graph, config, seed). The
+# per-node compute spans (the NodeCompute event, the ComputeTimer
+# collector, the collectors' opt-in hooks, Simulation::timed and its
+# compute.node_nanos histogram) are gone; compute time is measured per
+# section by the Profiler only.
+echo "==> checking the removed per-node compute spans are absent"
+spans='NodeCompute|ComputeTimer|wants_compute_spans|with_compute_spans|\.timed\(|node_nanos|span_start|span_nanos'
+if grep -rnE "$spans" src tests examples crates \
+    --exclude-dir=target 2>/dev/null; then
+    echo "error: a removed per-node compute span reappeared; time engine" \
+         "sections with the Profiler, and keep wall-clock values out of events" >&2
+    status=1
+else
+    echo "    one clock in the engines (the Profiler); every event deterministic"
+fi
+
 # The CSR routing arena replaced the per-receiver scan of a per-node wire
 # list; no non-test code may reintroduce that pattern.
 echo "==> checking for the removed per-receiver wire-scan pattern"
