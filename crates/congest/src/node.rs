@@ -86,8 +86,9 @@ pub enum Decision {
 /// evidence that survives lost messages, or wrapped in the
 /// [`crate::Reliable`] transport.
 pub trait NodeAlgorithm: Send {
-    /// Message type exchanged by this algorithm.
-    type Msg: Clone + Send + Sync + BitSize;
+    /// Message type exchanged by this algorithm: an owned value, so the
+    /// engine can keep buffers typed by it between runs.
+    type Msg: Clone + Send + Sync + BitSize + 'static;
 
     /// Called once before communication starts; returns the messages to be
     /// delivered in round 1.
