@@ -29,8 +29,8 @@
 
 use crate::error::SimError;
 use crate::faults::{Delivery, DeliveryCtx, FaultModel, FaultReport};
-use crate::message::{BitSize, Payload};
-use crate::node::{NodeAlgorithm, NodeContext, Outbox, Outgoing};
+use crate::message::BitSize;
+use crate::node::{reuse_view, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 use crate::obsv::collect::{Collector, SimEvent};
 use crate::obsv::metrics::MetricsSnapshot;
 use crate::obsv::profile::{prof_record, prof_start, Section};
@@ -40,12 +40,11 @@ use graphlib::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use std::any::Any;
 use std::sync::{Arc, Mutex};
 
 /// One shard of the sharded round engine: a contiguous node range with its
-/// own staging arena, inbox slab, tallies, and event buffers, reused across
-/// rounds.
+/// own staging arenas, routing buffers, tallies, and event buffers, reused
+/// across rounds.
 ///
 /// Nodes are partitioned into `S` contiguous ranges (`starts[k] = k·n/S`),
 /// so a shard also owns a contiguous band of receiver-side directed-edge
@@ -65,14 +64,17 @@ use std::sync::{Arc, Mutex};
 /// streams, and traces are therefore byte-identical at any shard count and
 /// any thread count.
 ///
-/// Unicasts are bucketed by shard-relative receiver slot with a counting
-/// sort into a flat CSR index whose descriptors are *epoch-stamped*: slots
-/// untouched this round are never visited, not even to be zeroed. Broadcast
-/// payloads are materialized once behind an `Arc` per sender. Inboxes are
-/// one arena slab per shard (`inbox_data` plus per-node bounds), so a round
-/// allocates nothing per receiver in steady state. The slabs are borrowed
-/// from the run's [`EnginePlan`] and handed back when the run ends.
-struct Shard<M> {
+/// Every message of a round is stored once, by value, until the next
+/// round's send sweep: a broadcast in its sender's staging list, a unicast
+/// in the `unicasts` arena of its receiver's shard, and a fault-damaged
+/// copy in the receiver shard's `damaged` arena. Delivery writes only
+/// `(port, `[`Src`]`)` index pairs into the inbox slab (see [`Routing`]);
+/// the step job resolves each receiver's window into a `(port, &M)` view
+/// over those arenas, which nothing writes while nodes compute. So a
+/// delivery costs no clone, no reference count and no allocation, and the
+/// borrow checker, not a reference count, keeps a view from outliving its
+/// round.
+struct Shard<M: 'static> {
     /// First node of the range.
     start: u32,
     /// One past the last node of the range.
@@ -80,37 +82,20 @@ struct Shard<M> {
     /// First receiver-side slot of the range (`offsets[start]`); all slot
     /// indices below are relative to it.
     slot_base: u32,
+    /// The routing arrays and inbox slab, borrowed from the run's
+    /// [`EnginePlan`] and handed back when the run ends.
+    route: Routing,
     /// Staged unicasts addressed to this shard, concatenated in source
     /// shard order: `(sender outbox index, payload)`.
     unicasts: Vec<(u32, M)>,
     /// Shard-relative receiver slot of each staged unicast, parallel to
     /// `unicasts`.
     slots: Vec<u32>,
-    /// Per-slot bucket start into `order`, valid only when the slot's
-    /// epoch stamp is current.
-    slot_start: Vec<u32>,
-    /// Per-slot bucket length (same validity rule).
-    slot_len: Vec<u32>,
-    /// Scatter cursor scratch (same validity rule).
-    slot_cursor: Vec<u32>,
-    /// Round stamp of each slot's bucket descriptor.
-    slot_epoch: Vec<u64>,
-    /// Slots touched this round, deduplicated in first-touch order.
-    touched: Vec<u32>,
-    /// Indices into `unicasts`, bucketed by slot; the counting sort is
-    /// stable, so outbox order is preserved within each bucket.
-    order: Vec<u32>,
-    /// Round stamp per local receiver: current iff some staged message is
-    /// addressed to it, letting delivery skip idle receivers without
-    /// scanning their ports.
-    active: Vec<u64>,
-    /// Current round stamp (bumped once per delivery pass).
-    epoch: u64,
-    /// Arena-slab inbox: every local receiver's `(port, payload)` pairs for
-    /// this round, back to back.
-    inbox_data: Slab<M>,
-    /// Per local node `(start, end)` window into `inbox_data`.
-    inbox_bounds: Vec<(u32, u32)>,
+    /// Copies a fault corrupted this round, one per damaged delivery.
+    damaged: Vec<M>,
+    /// The step job's inbox view, emptied between nodes; kept here (typed
+    /// for no live borrow) only so its allocation is reused every round.
+    view: Vec<(u32, &'static M)>,
     /// Fault-layer tallies for this shard's receivers this round.
     delivered: u64,
     dropped: u64,
@@ -140,47 +125,130 @@ struct Shard<M> {
     acct_err: Option<SimError>,
 }
 
-/// One shard's inbox slab: `(port, payload)` pairs, receiver by receiver.
-type Slab<M> = Vec<(u32, Payload<M>)>;
+/// Where a delivered message is stored for the rest of its round.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// `broadcasts[sender][i]`: one copy shared by all its receivers.
+    Broadcast(u32, u32),
+    /// `unicasts[i]` of the receiver's shard.
+    Unicast(u32),
+    /// `damaged[i]` of the receiver's shard.
+    Damaged(u32),
+}
+
+/// One shard's inbox slab: `(port, source)` pairs, receiver by receiver.
+type Slab = Vec<(u32, Src)>;
+
+/// A sender's staged broadcasts this round: `(outbox index, message)`.
+type Broadcasts<M> = Vec<(u32, M)>;
 
 /// A unicast crossing (or staying inside) a shard boundary: `(receiver,
 /// receiver-side absolute slot, sender outbox index, payload)`. Payloads
 /// move through the mailbox — they are never cloned.
 type Mail<M> = Vec<(u32, u32, u32, M)>;
 
-/// A staged message as seen by one receiver during the merge.
-enum StagedMsg<'a, M> {
-    Unicast(&'a M),
-    Broadcast(&'a Arc<M>),
+/// One shard's routing buffers, which depend only on the plan's shard
+/// layout and not on the message type, so [`EnginePlan`] keeps them
+/// between runs.
+///
+/// Unicasts are bucketed by shard-relative receiver slot with a counting
+/// sort into a flat CSR index whose descriptors are *epoch-stamped*: slots
+/// untouched this round are never visited, not even to be zeroed. The
+/// epoch travels with the stamps from run to run; restarting it would let
+/// a stamp left by an earlier run pass for a live bucket. The inbox is one
+/// slab per shard (`inbox` plus per-node bounds), so a round allocates
+/// nothing per receiver in steady state.
+#[derive(Debug)]
+struct Routing {
+    /// Per-slot bucket start into `order`, valid only when the slot's
+    /// epoch stamp is current.
+    slot_start: Vec<u32>,
+    /// Per-slot bucket length (same validity rule).
+    slot_len: Vec<u32>,
+    /// Scatter cursor scratch (same validity rule).
+    slot_cursor: Vec<u32>,
+    /// Round stamp of each slot's bucket descriptor.
+    slot_epoch: Vec<u64>,
+    /// Slots touched this round, deduplicated in first-touch order.
+    touched: Vec<u32>,
+    /// Indices into `unicasts`, bucketed by slot; the counting sort is
+    /// stable, so outbox order is preserved within each bucket.
+    order: Vec<u32>,
+    /// Round stamp per local receiver: current iff some staged message is
+    /// addressed to it, letting delivery skip idle receivers without
+    /// scanning their ports.
+    active: Vec<u64>,
+    /// Current round stamp (bumped once per delivery pass, never reset).
+    epoch: u64,
+    /// Every local receiver's `(port, source)` pairs for this round, back
+    /// to back.
+    inbox: Slab,
+    /// Per local node `(start, end)` window into `inbox`. Written for
+    /// every node each round before the step reads it.
+    inbox_bounds: Vec<(u32, u32)>,
 }
 
-impl<M> Shard<M> {
-    fn new(
-        start: u32,
-        end: u32,
-        slot_base: u32,
-        slot_end: u32,
-        inbox_data: Slab<M>,
-        provenance: bool,
-    ) -> Self {
-        let len = (end - start) as usize;
-        let nslots = (slot_end - slot_base) as usize;
-        Shard {
-            start,
-            end,
-            slot_base,
-            unicasts: Vec::new(),
-            slots: Vec::new(),
+impl Routing {
+    fn new(nodes: usize, nslots: usize) -> Self {
+        Routing {
             slot_start: vec![0; nslots],
             slot_len: vec![0; nslots],
             slot_cursor: vec![0; nslots],
             slot_epoch: vec![0; nslots],
             touched: Vec::new(),
             order: Vec::new(),
-            active: vec![0; len],
+            active: vec![0; nodes],
             epoch: 0,
-            inbox_data,
-            inbox_bounds: vec![(0, 0); len],
+            inbox: Vec::new(),
+            inbox_bounds: vec![(0, 0); nodes],
+        }
+    }
+
+    /// Counting sort of one shard's staged unicasts by shard-relative
+    /// receiver slot, stamped with the current epoch: bucket sizes on first
+    /// touch, one contiguous region per touched slot, then a stable
+    /// scatter. O(staged messages) — untouched slots are never visited
+    /// (not even to be zeroed) thanks to the epoch stamps.
+    fn index_slots(&mut self, slots: &[u32]) {
+        let epoch = self.epoch;
+        self.touched.clear();
+        for &s in slots {
+            let s = s as usize;
+            if self.slot_epoch[s] != epoch {
+                self.slot_epoch[s] = epoch;
+                self.slot_len[s] = 0;
+                self.touched.push(s as u32);
+            }
+            self.slot_len[s] += 1;
+        }
+        let mut cum = 0u32;
+        for &s in self.touched.iter() {
+            let s = s as usize;
+            self.slot_start[s] = cum;
+            self.slot_cursor[s] = cum;
+            cum += self.slot_len[s];
+        }
+        self.order.resize(slots.len(), 0);
+        for (i, &s) in slots.iter().enumerate() {
+            let c = &mut self.slot_cursor[s as usize];
+            self.order[*c as usize] = i as u32;
+            *c += 1;
+        }
+    }
+}
+
+impl<M> Shard<M> {
+    fn new(start: u32, end: u32, slot_base: u32, route: Routing, provenance: bool) -> Self {
+        let len = (end - start) as usize;
+        Shard {
+            start,
+            end,
+            slot_base,
+            route,
+            unicasts: Vec::new(),
+            slots: Vec::new(),
+            damaged: Vec::new(),
+            view: Vec::new(),
             delivered: 0,
             dropped: 0,
             corrupted: 0,
@@ -205,6 +273,21 @@ impl<M> Shard<M> {
     }
 }
 
+/// The message `src` names, in the arenas of the round being stepped.
+#[inline]
+fn resolve<'r, M>(
+    src: Src,
+    broadcasts: &'r [Broadcasts<M>],
+    unicasts: &'r [(u32, M)],
+    damaged: &'r [M],
+) -> &'r M {
+    match src {
+        Src::Broadcast(u, i) => &broadcasts[u as usize][i as usize].1,
+        Src::Unicast(i) => &unicasts[i as usize].1,
+        Src::Damaged(i) => &damaged[i as usize],
+    }
+}
+
 /// Which shard owns node `v`, given the `S + 1` ascending shard boundaries.
 #[inline]
 fn shard_of(starts: &[u32], v: u32) -> usize {
@@ -222,46 +305,6 @@ fn split_by_bounds<'a, T>(mut data: &'a mut [T], bounds: &[u32]) -> Vec<&'a mut 
         data = tail;
     }
     out
-}
-
-/// Counting sort of one shard's staged unicasts by shard-relative receiver
-/// slot: bucket sizes on first touch, one contiguous region per touched
-/// slot, then a stable scatter. O(staged messages) — untouched slots are
-/// never visited (not even to be zeroed) thanks to the epoch stamps.
-#[allow(clippy::too_many_arguments)]
-fn index_slots(
-    epoch: u64,
-    slots: &[u32],
-    slot_epoch: &mut [u64],
-    slot_start: &mut [u32],
-    slot_len: &mut [u32],
-    slot_cursor: &mut [u32],
-    touched: &mut Vec<u32>,
-    order: &mut Vec<u32>,
-) {
-    touched.clear();
-    for &s in slots {
-        let s = s as usize;
-        if slot_epoch[s] != epoch {
-            slot_epoch[s] = epoch;
-            slot_len[s] = 0;
-            touched.push(s as u32);
-        }
-        slot_len[s] += 1;
-    }
-    let mut cum = 0u32;
-    for &s in touched.iter() {
-        let s = s as usize;
-        slot_start[s] = cum;
-        slot_cursor[s] = cum;
-        cum += slot_len[s];
-    }
-    order.resize(slots.len(), 0);
-    for (i, &s) in slots.iter().enumerate() {
-        let c = &mut slot_cursor[s as usize];
-        order[*c as usize] = i as u32;
-        *c += 1;
-    }
 }
 
 /// The staged unicasts addressed to shard-relative slot `rel_slot`, as
@@ -284,10 +327,11 @@ fn bucket<'a>(
 
 /// Merges one destination shard's incoming mailboxes (in source shard
 /// order), adjudicates every delivery through the fault model, and fills
-/// the shard's inbox slab. Sequential within the shard; the engine runs one
-/// such job per shard in parallel. Every [`DeliveryCtx`] field is absolute
-/// (node indices, ports, link slots), so the fault stream is independent of
-/// both the shard count and the thread count.
+/// the shard's inbox slab with `(port, source)` pairs. Sequential within
+/// the shard; the engine runs one such job per shard in parallel. Every
+/// [`DeliveryCtx`] field is absolute (node indices, ports, link slots), so
+/// the fault stream is independent of both the shard count and the thread
+/// count. No message is cloned except a copy a fault damages.
 #[allow(clippy::too_many_arguments)]
 fn deliver_shard<M: BitSize + Clone>(
     shard: &mut Shard<M>,
@@ -295,7 +339,7 @@ fn deliver_shard<M: BitSize + Clone>(
     g: &Graph,
     offsets: &[u32],
     rev_port: &[u32],
-    broadcasts: &[Vec<(u32, Arc<M>)>],
+    broadcasts: &[Broadcasts<M>],
     bcasters: &[Vec<u32>],
     model: &dyn FaultModel,
     crashed: &[Option<usize>],
@@ -305,12 +349,13 @@ fn deliver_shard<M: BitSize + Clone>(
     round: usize,
     seed: u64,
 ) {
-    shard.epoch += 1;
-    let ep = shard.epoch;
+    shard.route.epoch += 1;
+    let ep = shard.route.epoch;
     let (start, end, slot_base) = (shard.start, shard.end, shard.slot_base);
     shard.unicasts.clear();
     shard.slots.clear();
-    shard.inbox_data.clear();
+    shard.damaged.clear();
+    shard.route.inbox.clear();
     shard.delivered = 0;
     shard.dropped = 0;
     shard.corrupted = 0;
@@ -320,7 +365,7 @@ fn deliver_shard<M: BitSize + Clone>(
     // concatenation order never shows in the output.
     for col in mail_col.iter_mut() {
         for (to, slot, obx, payload) in col.drain(..) {
-            shard.active[(to - start) as usize] = ep;
+            shard.route.active[(to - start) as usize] = ep;
             shard.slots.push(slot - slot_base);
             shard.unicasts.push((obx, payload));
         }
@@ -333,33 +378,19 @@ fn deliver_shard<M: BitSize + Clone>(
             let lo = nbrs.partition_point(|&x| x < start);
             let hi = nbrs.partition_point(|&x| x < end);
             for &v in &nbrs[lo..hi] {
-                shard.active[(v - start) as usize] = ep;
+                shard.route.active[(v - start) as usize] = ep;
             }
         }
     }
-    index_slots(
-        ep,
-        &shard.slots,
-        &mut shard.slot_epoch,
-        &mut shard.slot_start,
-        &mut shard.slot_len,
-        &mut shard.slot_cursor,
-        &mut shard.touched,
-        &mut shard.order,
-    );
+    shard.route.index_slots(&shard.slots);
     // Per-receiver merge, identical logic (and byte-identical outcomes) to
     // the pre-sharding router: each port's unicast bucket is interleaved
     // with the sending neighbor's broadcast list by sender outbox index, so
     // a receiver sees sends in exactly the order the sender produced them.
     let Shard {
+        route,
         unicasts,
-        slot_start,
-        slot_len,
-        slot_epoch,
-        order,
-        active,
-        inbox_data,
-        inbox_bounds,
+        damaged,
         delivered,
         dropped,
         corrupted,
@@ -368,19 +399,28 @@ fn deliver_shard<M: BitSize + Clone>(
         cur_ids,
         ..
     } = shard;
+    let Routing {
+        slot_start,
+        slot_len,
+        slot_epoch,
+        order,
+        active,
+        inbox,
+        inbox_bounds,
+        ..
+    } = route;
     for local in 0..(end - start) as usize {
         let v = start as usize + local;
-        let bstart = inbox_data.len() as u32;
+        let bstart = inbox.len() as u32;
         if provenance {
             cur_ids[local].clear();
         }
         if active[local] == ep {
             let receiver_down = crashed[v].is_some();
             for (p, &u) in g.neighbors(v).iter().enumerate() {
-                let u = u as usize;
                 let rel_slot = (offsets[v] - slot_base) as usize + p;
                 let uni = bucket(ep, rel_slot, slot_epoch, slot_start, slot_len, order);
-                let bcs: &[(u32, Arc<M>)] = &broadcasts[u];
+                let bcs: &[(u32, M)] = &broadcasts[u as usize];
                 if uni.is_empty() && bcs.is_empty() {
                     continue;
                 }
@@ -392,19 +432,18 @@ fn deliver_shard<M: BitSize + Clone>(
                         (Some(_), None) => true,
                         _ => false,
                     };
-                    let (idx, staged) = if from_uni {
+                    let (idx, m, src) = if from_uni {
                         let (idx, ref m) = unicasts[uni[i] as usize];
+                        let src = Src::Unicast(uni[i]);
                         i += 1;
-                        (idx, StagedMsg::Unicast(m))
+                        (idx, m, src)
                     } else {
                         let (idx, ref m) = bcs[j];
+                        let src = Src::Broadcast(u, j as u32);
                         j += 1;
-                        (idx, StagedMsg::Broadcast(m))
+                        (idx, m, src)
                     };
-                    let m: &M = match staged {
-                        StagedMsg::Unicast(m) => m,
-                        StagedMsg::Broadcast(m) => m.as_ref(),
-                    };
+                    let u = u as usize;
                     // The id the accounting pass assigned this outbox entry
                     // (only meaningful when tracing; `id_base` is empty
                     // otherwise).
@@ -437,14 +476,7 @@ fn deliver_shard<M: BitSize + Clone>(
                     };
                     match model.delivery(&ctx) {
                         Delivery::Deliver => {
-                            // Zero-copy for broadcasts: share the Arc'd
-                            // payload. Unicasts cost the one clone they
-                            // always did, never one per edge.
-                            let payload = match staged {
-                                StagedMsg::Unicast(m) => Payload::Owned(m.clone()),
-                                StagedMsg::Broadcast(m) => Payload::Shared(Arc::clone(m)),
-                            };
-                            inbox_data.push((p as u32, payload));
+                            inbox.push((p as u32, src));
                             *delivered += 1;
                             if provenance {
                                 cur_ids[local].push(msg_id);
@@ -474,11 +506,14 @@ fn deliver_shard<M: BitSize + Clone>(
                             }
                         }
                         Delivery::Corrupt(bit) => {
-                            // The corrupt path is the one place a fault
-                            // mutates bytes, so only here does a broadcast
-                            // payload get deep-copied.
-                            let mut damaged = m.clone();
-                            if damaged.corrupt_bit(bit) {
+                            // The one copy delivery makes: the damaged
+                            // bits reach this receiver alone, while every
+                            // other receiver of a broadcast still reads
+                            // the sender's pristine message.
+                            let mut copy = m.clone();
+                            if copy.corrupt_bit(bit) {
+                                inbox.push((p as u32, Src::Damaged(damaged.len() as u32)));
+                                damaged.push(copy);
                                 *corrupted += 1;
                                 if tracing {
                                     events.push(SimEvent::Corrupt {
@@ -493,6 +528,7 @@ fn deliver_shard<M: BitSize + Clone>(
                             } else {
                                 // Payload has no materialized wire bits to
                                 // flip — delivered intact.
+                                inbox.push((p as u32, src));
                                 *delivered += 1;
                                 if tracing {
                                     events.push(SimEvent::Deliver {
@@ -510,13 +546,12 @@ fn deliver_shard<M: BitSize + Clone>(
                             if provenance {
                                 cur_ids[local].push(msg_id);
                             }
-                            inbox_data.push((p as u32, Payload::Owned(damaged)));
                         }
                     }
                 }
             }
         }
-        inbox_bounds[local] = (bstart, inbox_data.len() as u32);
+        inbox_bounds[local] = (bstart, inbox.len() as u32);
         if provenance {
             // This round's deliveries become the node's deps next round.
             std::mem::swap(&mut prev_ids[local], &mut cur_ids[local]);
@@ -552,12 +587,13 @@ pub(crate) struct EnginePlan {
     /// Reverse-port table: `rev_port[slot(v, p)]` is the port of `v` in the
     /// adjacency list of `v`'s `p`-th neighbor (unicast routing).
     pub(crate) rev_port: Vec<u32>,
-    /// Emptied inbox slabs of finished runs, at most one set (one slab per
-    /// shard) per message type. The next run of that type on this plan
-    /// takes them, so a batch of runs on a prepared topology grows its
-    /// largest buffers once instead of once per run, and its peak memory
-    /// does not depend on where the allocator can fit them run after run.
-    slabs: Mutex<Vec<Box<dyn Any + Send>>>,
+    /// The routing buffers of a finished run, one [`Routing`] per shard,
+    /// emptied. The next run on this plan takes them, whatever its message
+    /// type, so a batch of runs on a prepared topology allocates its
+    /// O(slots) routing arrays and grows its largest inbox slab once
+    /// instead of once per run, and its peak memory does not depend on
+    /// where the allocator can fit them run after run.
+    routing: Mutex<Option<Vec<Routing>>>,
 }
 
 impl EnginePlan {
@@ -584,7 +620,7 @@ impl EnginePlan {
         EnginePlan {
             starts,
             rev_port,
-            slabs: Mutex::new(Vec::new()),
+            routing: Mutex::new(None),
         }
     }
 
@@ -593,29 +629,34 @@ impl EnginePlan {
         self.starts.len() - 1
     }
 
-    /// One inbox slab per shard for a run with messages of type `M`: the
-    /// ones a finished run of `M` handed back, else new empty ones.
-    fn take_slabs<M: Send + Sync + 'static>(&self) -> Vec<Slab<M>> {
-        let mut pool = self.slabs.lock().unwrap_or_else(|e| e.into_inner());
-        match pool.iter().position(|b| b.is::<Vec<Slab<M>>>()) {
-            Some(i) => *pool
-                .swap_remove(i)
-                .downcast::<Vec<Slab<M>>>()
-                .expect("the entry was checked to hold slabs of M"),
-            None => (0..self.nshards()).map(|_| Vec::new()).collect(),
-        }
+    /// One [`Routing`] per shard: the ones a finished run handed back,
+    /// else new ones for shard slot bands `slot_bounds[k]..slot_bounds[k + 1]`.
+    fn take_routing(&self, slot_bounds: &[u32]) -> Vec<Routing> {
+        let kept = self
+            .routing
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        kept.unwrap_or_else(|| {
+            (0..self.nshards())
+                .map(|k| {
+                    Routing::new(
+                        (self.starts[k + 1] - self.starts[k]) as usize,
+                        (slot_bounds[k + 1] - slot_bounds[k]) as usize,
+                    )
+                })
+                .collect()
+        })
     }
 
-    /// Hands a finished run's slabs back, emptied, unless a concurrent run
-    /// of `M` already did.
-    fn return_slabs<M: Send + Sync + 'static>(&self, mut slabs: Vec<Slab<M>>) {
-        for slab in &mut slabs {
-            slab.clear();
+    /// Hands a finished run's routing buffers back, emptied, unless a
+    /// concurrent run already did. Their epochs and stamps go with them.
+    fn return_routing(&self, mut routing: Vec<Routing>) {
+        for r in &mut routing {
+            r.inbox.clear();
         }
-        let mut pool = self.slabs.lock().unwrap_or_else(|e| e.into_inner());
-        if !pool.iter().any(|b| b.is::<Vec<Slab<M>>>()) {
-            pool.push(Box::new(slabs));
-        }
+        let mut kept = self.routing.lock().unwrap_or_else(|e| e.into_inner());
+        kept.get_or_insert(routing);
     }
 }
 
@@ -750,27 +791,20 @@ impl<'a> Engine<'a> {
         let mut completed = nodes.iter().all(|nd| nd.halted());
 
         // Per-shard state, allocated once and reused (cleared in place)
-        // every round, so steady-state rounds do not allocate; the inbox
-        // slabs come from the plan and go back to it at the end, so the
-        // next run on a prepared plan reuses them too. Each shard
-        // owns its slot band's routing arena and its node range's inbox
-        // slab, tallies, and event buffers. The mailbox matrix and its
-        // transpose scratch swap Vec headers every round, so mailbox
-        // capacity survives the transpose too.
+        // every round, so steady-state rounds do not allocate; the routing
+        // buffers come from the plan and go back to it at the end, so the
+        // next run on a prepared plan reuses them too. Each shard owns its
+        // slot band's routing arrays, its node range's inbox slab, its
+        // message arenas, tallies, and event buffers. The mailbox matrix
+        // and its transpose scratch swap Vec headers every round, so
+        // mailbox capacity survives the transpose too.
         let slot_bounds: Vec<u32> = starts.iter().map(|&s| stats.offsets[s as usize]).collect();
         let mut shards: Vec<Shard<A::Msg>> = plan
-            .take_slabs()
+            .take_routing(&slot_bounds)
             .into_iter()
             .enumerate()
-            .map(|(k, slab)| {
-                Shard::new(
-                    starts[k],
-                    starts[k + 1],
-                    slot_bounds[k],
-                    slot_bounds[k + 1],
-                    slab,
-                    provenance,
-                )
+            .map(|(k, route)| {
+                Shard::new(starts[k], starts[k + 1], slot_bounds[k], route, provenance)
             })
             .collect();
         let mut mail: Vec<Vec<Mail<A::Msg>>> = (0..nshards)
@@ -779,7 +813,7 @@ impl<'a> Engine<'a> {
         let mut mail_t: Vec<Vec<Mail<A::Msg>>> = (0..nshards)
             .map(|_| (0..nshards).map(|_| Vec::new()).collect())
             .collect();
-        let mut broadcasts: Vec<Vec<(u32, Arc<A::Msg>)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut broadcasts: Vec<Broadcasts<A::Msg>> = (0..n).map(|_| Vec::new()).collect();
         let mut bcasters: Vec<Vec<u32>> = (0..nshards).map(|_| Vec::new()).collect();
         let mut staged_counts: Vec<usize> = vec![0; nshards];
         let mut refill_counts: Vec<usize> = vec![0; nshards];
@@ -963,8 +997,8 @@ impl<'a> Engine<'a> {
                 // already cleared by the previous idle round.
                 if !inboxes_clear {
                     shards.par_iter_mut().for_each(|shard| {
-                        shard.inbox_data.clear();
-                        for b in shard.inbox_bounds.iter_mut() {
+                        shard.route.inbox.clear();
+                        for b in shard.route.inbox_bounds.iter_mut() {
                             *b = (0, 0);
                         }
                         for prev in shard.prev_ids.iter_mut() {
@@ -1038,41 +1072,63 @@ impl<'a> Engine<'a> {
             // Step all live (non-halted, non-crashed) nodes, writing each
             // node's new outbox in place (staging drained the old ones, so
             // no per-round collect is needed). One job per shard: each job
-            // reads its shard's inbox slab and owns its node range's
-            // windows of the per-node arrays. The shared context is
-            // updated in place (`round` is its only per-round field)
-            // instead of being cloned per node per round.
+            // resolves its receivers' slab windows, one node at a time,
+            // into `(port, &M)` views over this round's arenas (the
+            // broadcast lists and the shard's unicast and damaged arenas,
+            // none of which is written until the next round's send sweep)
+            // and owns its node range's windows of the per-node arrays.
+            // The shared context is updated in place (`round` is its only
+            // per-round field) instead of being cloned per node per round.
             let t_step = prof_start(prof);
             {
                 let crashed_ref = &crashed;
+                let broadcasts_ref: &[Broadcasts<A::Msg>] = &broadcasts;
                 let node_windows = split_by_bounds(&mut nodes, starts);
                 let ob_windows = split_by_bounds(&mut outboxes, starts);
                 let ctx_windows = split_by_bounds(&mut contexts, starts);
                 let rng_windows = split_by_bounds(&mut rngs, starts);
                 shards
-                    .par_iter()
+                    .par_iter_mut()
                     .zip(node_windows.into_par_iter())
                     .zip(ob_windows.into_par_iter())
                     .zip(ctx_windows.into_par_iter())
                     .zip(rng_windows.into_par_iter())
                     .zip(refill_counts.par_iter_mut())
                     .for_each(|(((((shard, nds), obs), ctxs), rgs), refill)| {
+                        let Shard {
+                            start,
+                            route,
+                            unicasts,
+                            damaged,
+                            view,
+                            ..
+                        } = shard;
+                        let mut inbox = reuse_view(std::mem::take(view));
                         // The send passes drained every outbox, so the
                         // shard's nonempty count is exactly the nodes whose
                         // `on_round` returns sends this round.
                         let mut cnt = 0usize;
                         for (local, node) in nds.iter_mut().enumerate() {
-                            let v = shard.start as usize + local;
+                            let v = *start as usize + local;
                             if !node.halted() && crashed_ref[v].is_none() {
                                 ctxs[local].round = round;
-                                let (b0, b1) = shard.inbox_bounds[local];
-                                let inbox = &shard.inbox_data[b0 as usize..b1 as usize];
-                                obs[local] = node.on_round(&ctxs[local], inbox, &mut rgs[local]);
+                                let (b0, b1) = route.inbox_bounds[local];
+                                inbox.clear();
+                                // Most nodes of a quiet round hear nothing;
+                                // they skip the resolve loop altogether.
+                                if b0 != b1 {
+                                    let window = &route.inbox[b0 as usize..b1 as usize];
+                                    inbox.extend(window.iter().map(|&(p, src)| {
+                                        (p, resolve(src, broadcasts_ref, unicasts, damaged))
+                                    }));
+                                }
+                                obs[local] = node.on_round(&ctxs[local], &inbox, &mut rgs[local]);
                                 if !obs[local].is_empty() {
                                     cnt += 1;
                                 }
                             }
                         }
+                        *view = reuse_view(inbox);
                         *refill = cnt;
                     });
             }
@@ -1093,12 +1149,7 @@ impl<'a> Engine<'a> {
                 .all(|(nd, down)| nd.halted() || down.is_some());
         }
 
-        plan.return_slabs(
-            shards
-                .iter_mut()
-                .map(|shard| std::mem::take(&mut shard.inbox_data))
-                .collect(),
-        );
+        plan.return_routing(shards.into_iter().map(|shard| shard.route).collect());
         let mut outcome = Outcome {
             decisions: nodes.iter().map(|nd| nd.decision()).collect(),
             stats,
@@ -1137,7 +1188,7 @@ impl<'a> Engine<'a> {
         &self,
         shard: &mut Shard<M>,
         outboxes: &mut [Outbox<M>],
-        bcasts: &mut [Vec<(u32, Arc<M>)>],
+        bcasts: &mut [Broadcasts<M>],
         mail_row: &mut [Mail<M>],
         bcasters: &mut Vec<u32>,
         offsets: &[u32],
@@ -1256,7 +1307,7 @@ impl<'a> Engine<'a> {
                                 deps: Arc::clone(deps),
                             });
                         }
-                        bc.push((idx as u32, Arc::new(m)));
+                        bc.push((idx as u32, m));
                         staged += 1;
                     }
                 }
@@ -1686,22 +1737,155 @@ mod tests {
     }
 
     #[test]
-    fn plan_keeps_emptied_slabs_per_message_type() {
-        // A run takes the slabs the last finished run of its message type
-        // handed back, emptied but with their capacity; a run of another
-        // type, or a concurrent one of the same type, gets fresh ones.
+    fn plan_keeps_routing_buffers_between_runs() {
+        // A run takes the buffers the last finished run handed back,
+        // whatever its message type: emptied, with their capacity and
+        // their epoch. A concurrent run gets fresh ones.
         let g = generators::cycle(6);
         let plan = EnginePlan::build(&g, 2);
-        let mut slabs = plan.take_slabs::<u64>();
-        assert_eq!(slabs.len(), 2);
-        slabs[0].push((0, Payload::Owned(7)));
-        let cap = slabs[0].capacity();
-        plan.return_slabs(slabs);
-        assert!(plan.take_slabs::<u32>().iter().all(|s| s.capacity() == 0));
-        let reused = plan.take_slabs::<u64>();
-        assert!(reused[0].is_empty());
-        assert_eq!(reused[0].capacity(), cap);
-        assert!(plan.take_slabs::<u64>().iter().all(|s| s.capacity() == 0));
+        let bounds = [0, 6, 12];
+        let mut routing = plan.take_routing(&bounds);
+        assert_eq!(routing.len(), 2);
+        assert_eq!(routing[1].slot_epoch.len(), 6);
+        routing[0].inbox.push((0, Src::Unicast(0)));
+        routing[0].epoch = 7;
+        let cap = routing[0].inbox.capacity();
+        plan.return_routing(routing);
+        let reused = plan.take_routing(&bounds);
+        assert!(reused[0].inbox.is_empty());
+        assert_eq!(reused[0].inbox.capacity(), cap);
+        assert_eq!(reused[0].epoch, 7, "the epoch travels with its stamps");
+        let fresh = plan.take_routing(&bounds);
+        assert_eq!((fresh[0].epoch, fresh[0].inbox.capacity()), (0, 0));
+    }
+
+    /// A message type [`Chatter`] can send: two integer widths serve.
+    trait ChatMsg:
+        Clone + Send + Sync + BitSize + From<u32> + Into<u64> + std::hash::Hash + 'static
+    {
+    }
+
+    impl<M: Clone + Send + Sync + BitSize + From<u32> + Into<u64> + std::hash::Hash + 'static>
+        ChatMsg for M
+    {
+    }
+
+    /// Unicasts a value on a seed-dependent subset of ports (and now and
+    /// then broadcasts one) for a few rounds, folding everything it hears
+    /// into its decision — so a stale routing bucket changes the outcome.
+    struct Chatter<M> {
+        rounds: usize,
+        heard: u64,
+        _msg: std::marker::PhantomData<M>,
+    }
+
+    impl<M: ChatMsg> Chatter<M> {
+        fn new(rounds: usize) -> Self {
+            Chatter {
+                rounds,
+                heard: 0,
+                _msg: std::marker::PhantomData,
+            }
+        }
+
+        fn talk(&self, ctx: &NodeContext, rng: &mut ChaCha8Rng) -> Outbox<M> {
+            if ctx.round >= self.rounds {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            for p in 0..ctx.degree() as u32 {
+                if rng.gen_bool(0.3) {
+                    out.push(Outgoing::Unicast(p, M::from(rng.gen_range(0..1000))));
+                }
+            }
+            if rng.gen_bool(0.2) {
+                out.push(Outgoing::Broadcast(M::from(ctx.id as u32)));
+            }
+            out
+        }
+    }
+
+    impl<M: ChatMsg> NodeAlgorithm for Chatter<M> {
+        type Msg = M;
+
+        fn init(&mut self, ctx: &NodeContext, rng: &mut ChaCha8Rng) -> Outbox<M> {
+            self.talk(ctx, rng)
+        }
+
+        fn on_round(
+            &mut self,
+            ctx: &NodeContext,
+            inbox: &Inbox<M>,
+            rng: &mut ChaCha8Rng,
+        ) -> Outbox<M> {
+            for &(p, m) in inbox {
+                let x: u64 = m.clone().into();
+                self.heard = self.heard.wrapping_mul(31).wrapping_add(x ^ p as u64);
+            }
+            self.talk(ctx, rng)
+        }
+
+        fn halted(&self) -> bool {
+            false
+        }
+
+        fn decision(&self) -> Decision {
+            if self.heard % 2 == 1 {
+                Decision::Reject
+            } else {
+                Decision::Accept
+            }
+        }
+    }
+
+    #[test]
+    fn plan_reuse_matches_fresh_plan() {
+        // Runs of two message types and three seeds, interleaved on one
+        // prepared plan (so each run inherits the routing buffers, epoch
+        // stamps included, of a run with other traffic), must match runs
+        // that each build a fresh plan: outcome and event stream alike.
+        use crate::simulation::Overrides;
+        let g = generators::gnp(24, 0.3, &mut ChaCha8Rng::seed_from_u64(5));
+        let sim = || {
+            Simulation::on(&g)
+                .bandwidth(Bandwidth::Unbounded)
+                .shards(3)
+                .max_rounds(12)
+        };
+        let prepared = sim().prepare();
+        fn check<M: ChatMsg>(
+            prepared: &crate::simulation::Prepared,
+            fresh: Simulation<'_>,
+            seed: u64,
+        ) {
+            let (reused_log, fresh_log) = (Arc::new(EventLog::new()), Arc::new(EventLog::new()));
+            let ovr = Overrides::new()
+                .seed(seed)
+                .collector_arc(reused_log.clone());
+            let reused = prepared.run_with(&ovr, |_| Chatter::<M>::new(10)).unwrap();
+            let fresh = fresh
+                .seed(seed)
+                .collector_arc(fresh_log.clone())
+                .run(|_| Chatter::<M>::new(10))
+                .unwrap();
+            assert!(reused.stats.total_messages > 0);
+            // Every field but the metrics through `Debug`; the metrics
+            // through their `PartialEq`, which ignores the zeroed buckets
+            // a prepared topology's reused registry keeps.
+            let fields = |o: &Outcome| {
+                format!(
+                    "{:?}",
+                    (&o.decisions, &o.stats, o.completed, &o.faults, &o.degraded)
+                )
+            };
+            assert_eq!(fields(&reused), fields(&fresh), "seed {seed}");
+            assert_eq!(reused.metrics, fresh.metrics, "seed {seed}");
+            assert_eq!(reused_log.snapshot(), fresh_log.snapshot(), "seed {seed}");
+        }
+        for seed in 1..=3 {
+            check::<u64>(&prepared, sim(), seed);
+            check::<u32>(&prepared, sim(), seed);
+        }
     }
 
     #[test]

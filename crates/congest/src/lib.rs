@@ -53,7 +53,7 @@ pub use faults::{
     BitFlip, CrashStop, Delivery, DeliveryCtx, FaultModel, FaultReport, FaultSpec, GilbertElliott,
     IndependentLoss, LinkFailure, NoFaults, Outage,
 };
-pub use message::{bits_for_domain, BitSize, BitString, Payload};
+pub use message::{bits_for_domain, BitSize, BitString};
 pub use node::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 pub use obsv::{
     Collector, CriticalPathSummary, EventLog, Fanout, FlightConfig, FlightRecorder, FlightTotals,

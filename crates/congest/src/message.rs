@@ -6,6 +6,13 @@
 //! bandwidth bound and accumulates traffic statistics from these declared
 //! sizes. Declared sizes must be faithful — the unit tests of each algorithm
 //! check them against the information actually carried.
+//!
+//! A message moves by value from its sender's outbox into the engine's
+//! staging arenas and reaches every receiver by reference (see
+//! [`Inbox`](crate::Inbox)): a broadcast is stored once however many
+//! neighbors hear it, and nothing is copied or reference-counted per
+//! delivery. The one copy the engine makes is the one a fault damages
+//! ([`BitSize::corrupt_bit`]), which goes to that receiver alone.
 
 /// Number of bits a value occupies on the wire.
 pub trait BitSize {
@@ -162,66 +169,6 @@ impl BitSize for BitString {
         true
     }
 }
-
-/// A delivered message payload: either a private copy or a reference into a
-/// shared broadcast buffer.
-///
-/// A CONGEST broadcast reaches every neighbor with the *same* bits, so the
-/// engine materializes a broadcast once and hands each receiver an `Arc`
-/// into it instead of a deep copy per edge ([`Payload::Shared`]). Unicasts,
-/// and payloads a fault actually mutated, arrive as [`Payload::Owned`].
-/// Algorithms read payloads through [`std::ops::Deref`] (field access and
-/// method calls need no change; pattern matches use `&**payload`), which
-/// keeps delivery allocation-free on the hot path without letting one
-/// receiver's view alias another's mutations.
-#[derive(Debug, Clone)]
-pub enum Payload<M> {
-    /// A payload this receiver exclusively owns (unicast or fault-mutated).
-    Owned(M),
-    /// A view into a broadcast payload shared by all its receivers.
-    Shared(std::sync::Arc<M>),
-}
-
-impl<M> std::ops::Deref for Payload<M> {
-    type Target = M;
-    fn deref(&self) -> &M {
-        match self {
-            Payload::Owned(m) => m,
-            Payload::Shared(m) => m,
-        }
-    }
-}
-
-impl<M> Payload<M> {
-    /// The shared broadcast handle, or `None` if this receiver exclusively
-    /// owns the payload (unicast, or a broadcast that was deep-copied for
-    /// fault mutation). Lets tests assert sharing via `Arc::ptr_eq`.
-    pub fn as_shared(&self) -> Option<&std::sync::Arc<M>> {
-        match self {
-            Payload::Owned(_) => None,
-            Payload::Shared(m) => Some(m),
-        }
-    }
-}
-
-impl<M: Clone> Payload<M> {
-    /// Extracts the message, cloning only if it is still shared with other
-    /// receivers.
-    pub fn into_owned(self) -> M {
-        match self {
-            Payload::Owned(m) => m,
-            Payload::Shared(m) => std::sync::Arc::try_unwrap(m).unwrap_or_else(|m| (*m).clone()),
-        }
-    }
-}
-
-impl<M: PartialEq> PartialEq for Payload<M> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<M: Eq> Eq for Payload<M> {}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //! its own identifier, its degree, the identifiers of its neighbors (indexed
 //! by *port*), and the messages arriving on its ports.
 
-use crate::message::{BitSize, Payload};
+use crate::message::BitSize;
 use rand_chacha::ChaCha8Rng;
 
 /// What a node knows about itself and its surroundings.
@@ -52,13 +52,89 @@ pub enum Outgoing<M> {
 /// The messages a node emits in one round.
 pub type Outbox<M> = Vec<Outgoing<M>>;
 
-/// The messages a node receives in one round: `(port, payload)` pairs in
-/// deterministic port-merge order. This is a *slice* alias — the engine hands
-/// each node a window into its shard's arena-slab inbox rather than a
-/// per-node `Vec`, so a round allocates nothing per receiver. Broadcast
-/// payloads are shared between their receivers rather than cloned per edge —
-/// see [`Payload`] for how algorithms read them.
-pub type Inbox<M> = [(u32, Payload<M>)];
+/// The messages a node receives in one round: `(port, message)` pairs in
+/// deterministic port-merge order, each message borrowed for the one
+/// [`NodeAlgorithm::on_round`] call that reads it.
+///
+/// The engine stores every message of a round once, in arenas that stay
+/// read-only while nodes compute: a broadcast in its sender's staging
+/// list (however many neighbors hear it), a unicast in its receiving
+/// shard's arena, and a fault-damaged copy in a per-shard arena of its
+/// own. Each receiver's inbox is a window of references into them, so a
+/// delivery costs no clone, no reference count and no allocation.
+/// Algorithm bodies read a message through `&&M` exactly as through `&M`:
+/// `msg.field`, method calls and `**msg` work unchanged, and pattern
+/// matches use `&**msg`.
+///
+/// A node keeps what it needs by copying it out; the borrow checker
+/// refuses to let a reference outlive the call, so no receiver can hold
+/// a view into next round's arenas:
+///
+/// ```
+/// use congest::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox};
+/// use rand_chacha::ChaCha8Rng;
+///
+/// struct Keeper {
+///     kept: Vec<u32>,
+/// }
+///
+/// impl NodeAlgorithm for Keeper {
+///     type Msg = u32;
+///     fn init(&mut self, _: &NodeContext, _: &mut ChaCha8Rng) -> Outbox<u32> {
+///         Vec::new()
+///     }
+///     fn on_round(&mut self, _: &NodeContext, inbox: &Inbox<u32>, _: &mut ChaCha8Rng) -> Outbox<u32> {
+///         self.kept.extend(inbox.iter().map(|&(_, m)| *m));
+///         Vec::new()
+///     }
+///     fn halted(&self) -> bool {
+///         true
+///     }
+///     fn decision(&self) -> Decision {
+///         Decision::Accept
+///     }
+/// }
+/// ```
+///
+/// while keeping the references themselves does not compile:
+///
+/// ```compile_fail
+/// use congest::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox};
+/// use rand_chacha::ChaCha8Rng;
+///
+/// struct Hoarder {
+///     kept: Vec<&'static u32>,
+/// }
+///
+/// impl NodeAlgorithm for Hoarder {
+///     type Msg = u32;
+///     fn init(&mut self, _: &NodeContext, _: &mut ChaCha8Rng) -> Outbox<u32> {
+///         Vec::new()
+///     }
+///     fn on_round(&mut self, _: &NodeContext, inbox: &Inbox<u32>, _: &mut ChaCha8Rng) -> Outbox<u32> {
+///         self.kept.extend(inbox.iter().map(|&(_, m)| m));
+///         Vec::new()
+///     }
+///     fn halted(&self) -> bool {
+///         true
+///     }
+///     fn decision(&self) -> Decision {
+///         Decision::Accept
+///     }
+/// }
+/// ```
+pub type Inbox<'r, M> = [(u32, &'r M)];
+
+/// Empties an inbox view and hands its allocation back typed for a borrow
+/// of another lifetime, so the engine and the ARQ transport rebuild every
+/// step's view in one reused buffer. Both element types have the same
+/// layout, so the in-place collect keeps the allocation.
+pub(crate) fn reuse_view<'b, M>(mut view: Vec<(u32, &M)>) -> Vec<(u32, &'b M)> {
+    view.clear();
+    view.into_iter()
+        .map(|_| -> (u32, &'b M) { unreachable!("the view was emptied") })
+        .collect()
+}
 
 /// Accept/reject output of a node (Definition 1 semantics: the network
 /// rejects — "H found" — iff some node rejects).
@@ -86,8 +162,8 @@ pub enum Decision {
 /// evidence that survives lost messages, or wrapped in the
 /// [`crate::Reliable`] transport.
 pub trait NodeAlgorithm: Send {
-    /// Message type exchanged by this algorithm: an owned value, so the
-    /// engine can keep buffers typed by it between runs.
+    /// Message type exchanged by this algorithm: an owned value, which the
+    /// engine stores in its arenas and lends to receivers (see [`Inbox`]).
     type Msg: Clone + Send + Sync + BitSize + 'static;
 
     /// Called once before communication starts; returns the messages to be
@@ -134,6 +210,19 @@ pub trait NodeAlgorithm: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reused_view_keeps_its_allocation() {
+        let (a, b, c) = (1u32, 2u32, 3u32);
+        let mut view: Vec<(u32, &u32)> = Vec::with_capacity(8);
+        view.extend([(0, &a), (1, &b)]);
+        let (cap, ptr) = (view.capacity(), view.as_ptr() as usize);
+        let mut again = reuse_view(view);
+        assert!(again.is_empty());
+        assert_eq!(again.capacity(), cap);
+        again.push((2, &c));
+        assert_eq!(again.as_ptr() as usize, ptr);
+    }
 
     #[test]
     fn context_degree() {

@@ -37,8 +37,8 @@
 use crate::engine::{Bandwidth, Engine};
 use crate::error::SimError;
 use crate::faults::raw_hash;
-use crate::message::{BitSize, Payload};
-use crate::node::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};
+use crate::message::BitSize;
+use crate::node::{reuse_view, Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 use crate::obsv::profile::{prof_record, prof_start, Profiler, Section};
 use crate::simulation::Outcome;
 use rand_chacha::ChaCha8Rng;
@@ -505,11 +505,15 @@ pub struct Reliable<A: NodeAlgorithm> {
     empty: Arc<Vec<A::Msg>>,
     /// Per-round scratch, reused so a round allocates none of it: the
     /// per-port bundles being queued, which ports carried data, the
-    /// virtual-step inbox, and the virtual-step context (the physical one
-    /// with the virtual round, built once at `init`).
+    /// bundles taken from the receive windows for one virtual step (kept
+    /// alive while the inner algorithm reads them), the virtual-step inbox
+    /// view over those bundles (typed for no live borrow between steps),
+    /// and the virtual-step context (the physical one with the virtual
+    /// round, built once at `init`).
     bundles: Vec<Vec<A::Msg>>,
     data_on: Vec<bool>,
-    vinbox: Vec<(u32, Payload<A::Msg>)>,
+    taken: Vec<(u32, Arc<Vec<A::Msg>>)>,
+    vinbox: Vec<(u32, &'static A::Msg)>,
     vctx: NodeContext,
 }
 
@@ -542,6 +546,7 @@ where
             empty: Arc::new(Vec::new()),
             bundles: Vec::new(),
             data_on: Vec::new(),
+            taken: Vec::new(),
             vinbox: Vec::new(),
             vctx: NodeContext {
                 index: 0,
@@ -898,13 +903,19 @@ where
         {
             for (p, rl) in self.recv.iter_mut().enumerate() {
                 if let Some(bundle) = rl.take(self.inner_next) {
-                    let msgs = bundle.iter().map(|m| (p as u32, Payload::Owned(m.clone())));
-                    self.vinbox.extend(msgs);
+                    self.taken.push((p as u32, bundle));
                 }
             }
+            let mut vinbox = reuse_view(std::mem::take(&mut self.vinbox));
+            vinbox.extend(
+                self.taken
+                    .iter()
+                    .flat_map(|(p, bundle)| bundle.iter().map(move |m| (*p, m))),
+            );
             self.vctx.round = self.inner_next as usize;
-            let inner_out = self.inner.on_round(&self.vctx, &self.vinbox, rng);
-            self.vinbox.clear();
+            let inner_out = self.inner.on_round(&self.vctx, &vinbox, rng);
+            self.vinbox = reuse_view(vinbox);
+            self.taken.clear();
             let fin = self.inner.halted();
             let next = self.inner_next + 1;
             self.queue(inner_out, next, fin);

@@ -16,7 +16,7 @@
 //!    asks the fault model about each delivery (a crashed receiver loses
 //!    everything without asking the model, and each lost delivery is a
 //!    `Drop` event like any other);
-//! 5. steps every live node.
+//! 5. steps every live node, lending it references into its inbox.
 //!
 //! Everything is recomputed from scratch every round: no arenas, no
 //! staging, no shards, no reuse.
@@ -27,7 +27,7 @@
 
 use congest::{
     Bandwidth, BitSize, Delivery, DeliveryCtx, FaultSpec, NodeAlgorithm, NodeContext, Outbox,
-    Outgoing, Payload, SimError, SimEvent,
+    Outgoing, SimError, SimEvent,
 };
 use graphlib::Graph;
 use rand::{Rng, SeedableRng};
@@ -225,7 +225,7 @@ where
 
         // 4. Inboxes: rescan every neighbor's whole outbox.
         let (mut round_dropped, mut round_corrupted) = (0u64, 0u64);
-        let mut inboxes: Vec<Vec<(u32, Payload<A::Msg>)>> = Vec::with_capacity(n);
+        let mut inboxes: Vec<Vec<(u32, A::Msg)>> = Vec::with_capacity(n);
         for v in 0..n {
             let mut inbox = Vec::new();
             heard[v].clear();
@@ -316,7 +316,7 @@ where
                     // its causal deps.
                     if let Some(payload) = payload {
                         heard[v].push(msg_id);
-                        inbox.push((p as u32, Payload::Owned(payload)));
+                        inbox.push((p as u32, payload));
                     }
                 }
             }
@@ -332,7 +332,8 @@ where
             outboxes[v].clear();
             if !crashed[v] && !nodes[v].halted() {
                 ctxs[v].round = round;
-                outboxes[v] = nodes[v].on_round(&ctxs[v], &inboxes[v], &mut rngs[v]);
+                let inbox: Vec<(u32, &A::Msg)> = inboxes[v].iter().map(|(p, m)| (*p, m)).collect();
+                outboxes[v] = nodes[v].on_round(&ctxs[v], &inbox, &mut rngs[v]);
             }
         }
         events.push(SimEvent::RoundEnd {

@@ -7,8 +7,8 @@
 //!   pairs in the same order (port ascending, sender outbox order within a
 //!   port).
 //! * A corrupt-broadcast test pins the zero-copy contract: when one
-//!   delivery of a broadcast is corrupted, that receiver gets its own deep
-//!   copy while every other receiver still shares the pristine `Arc`.
+//!   delivery of a broadcast is corrupted, that receiver gets its own
+//!   copy while every other receiver reads the one pristine message.
 
 mod naive;
 
@@ -177,9 +177,13 @@ struct CorruptProbeCenter {
     done: bool,
 }
 
-/// A leaf that stores the payload (as delivered, `Owned` vs `Shared`).
+/// What a leaf read during its round: the value, and the address the
+/// inbox lent it at.
+type Seen = Option<(BitString, usize)>;
+
+/// A leaf that records what it was lent during its round.
 struct CorruptProbeLeaf {
-    got: Arc<Mutex<Option<congest::Payload<BitString>>>>,
+    got: Arc<Mutex<Seen>>,
     done: bool,
 }
 
@@ -207,8 +211,9 @@ impl NodeAlgorithm for Probe {
         match self {
             Probe::Center(c) => c.done = true,
             Probe::Leaf(l) => {
-                if let Some((_, payload)) = inbox.first() {
-                    *l.got.lock().unwrap() = Some(payload.clone());
+                if let Some(&(_, msg)) = inbox.first() {
+                    let addr = msg as *const BitString as usize;
+                    *l.got.lock().unwrap() = Some((msg.clone(), addr));
                 }
                 l.done = true;
             }
@@ -238,7 +243,7 @@ fn corrupted_broadcast_is_deep_copied_exactly_once() {
     // the broadcast's deliveries (deterministic given the seed).
     let mut found = false;
     for seed in 0..200u64 {
-        let cells: Vec<Arc<Mutex<Option<congest::Payload<BitString>>>>> =
+        let cells: Vec<Arc<Mutex<Seen>>> =
             (0..=leaves).map(|_| Arc::new(Mutex::new(None))).collect();
         let cells_ref = &cells;
         let pattern_ref = &pattern;
@@ -266,35 +271,27 @@ fn corrupted_broadcast_is_deep_copied_exactly_once() {
         }
         found = true;
 
-        let payloads: Vec<congest::Payload<BitString>> = (1..=leaves)
+        let seen: Vec<(BitString, usize)> = (1..=leaves)
             .map(|v| cells[v].lock().unwrap().clone().expect("leaf got nothing"))
             .collect();
-        let shared: Vec<&congest::Payload<BitString>> = payloads
-            .iter()
-            .filter(|p| p.as_shared().is_some())
-            .collect();
-        let owned: Vec<&congest::Payload<BitString>> = payloads
-            .iter()
-            .filter(|p| p.as_shared().is_none())
-            .collect();
+        let (pristine, damaged): (Vec<_>, Vec<_>) =
+            seen.iter().partition(|(value, _)| *value == pattern);
 
-        // Exactly one receiver was deep-copied; everyone else shares the
-        // one pristine broadcast Arc.
-        assert_eq!(owned.len(), 1, "seed {seed}");
-        assert_eq!(shared.len(), leaves - 1);
-        let first_arc = shared[0].as_shared().unwrap();
-        for p in &shared {
-            assert!(
-                Arc::ptr_eq(first_arc, p.as_shared().unwrap()),
-                "pristine receivers must share one allocation"
-            );
-            assert_eq!(&***p, &pattern, "shared payloads must be untouched");
-        }
+        // Exactly one receiver got a copy of its own; everyone else read
+        // the one pristine broadcast at one address.
+        assert_eq!(damaged.len(), 1, "seed {seed}");
+        assert_eq!(pristine.len(), leaves - 1);
+        let shared_addr = pristine[0].1;
+        assert!(
+            pristine.iter().all(|&&(_, addr)| addr == shared_addr),
+            "pristine receivers must read one stored message"
+        );
+        assert_ne!(damaged[0].1, shared_addr, "the damaged copy is separate");
         // The corrupted copy differs from the pattern in exactly one bit.
         let hamming = pattern
             .bits()
             .iter()
-            .zip(owned[0].bits())
+            .zip(damaged[0].0.bits())
             .filter(|(a, b)| a != b)
             .count();
         assert_eq!(hamming, 1, "bit-flip corruption flips exactly one bit");

@@ -851,8 +851,10 @@ pub fn detect_even_cycle_observed(
     cfg: EvenCycleConfig,
     obs: &EvenCycleObserver,
 ) -> Result<EvenCycleReport, SimError> {
-    detect_even_cycle_faulty_observed(g, cfg, &FaultSpec::None, None, obs)
-        .map(FaultyEvenCycleReport::fault_free)
+    let prepared = obs
+        .install(stage(g, &cfg, &FaultSpec::None, None))
+        .prepare();
+    amplify(&prepared, &cfg, None, obs, false).map(FaultyEvenCycleReport::fault_free)
 }
 
 /// The staged (but not yet prepared) detector simulation: every knob the
@@ -902,7 +904,7 @@ pub fn detect_even_cycle_prepared(
     cfg: EvenCycleConfig,
     prepared: &congest::Prepared,
 ) -> Result<EvenCycleReport, SimError> {
-    amplify(prepared, &cfg, None, &EvenCycleObserver::default())
+    amplify(prepared, &cfg, None, &EvenCycleObserver::default(), false)
         .map(FaultyEvenCycleReport::fault_free)
 }
 
@@ -916,12 +918,16 @@ fn phase_seed(seed: u64, rep: u64, phase: u64) -> u64 {
 /// node rejects or the repetition budget runs out. With nothing crashed
 /// every node survives, so the fault-free drivers share the rule. Each
 /// phase is capped at its budget plus two rounds, counted in physical
-/// rounds when `transport` is the ARQ `prepared` was staged with.
+/// rounds when `transport` is the ARQ `prepared` was staged with. The
+/// runs' fault reports are folded into the result only with
+/// `keep_faults`: the fault-free drivers drop that tally, so they skip
+/// building it.
 fn amplify(
     prepared: &congest::Prepared,
     cfg: &EvenCycleConfig,
     transport: Option<ReliableConfig>,
     obs: &EvenCycleObserver,
+    keep_faults: bool,
 ) -> Result<FaultyEvenCycleReport, SimError> {
     assert!(
         cfg.repetitions >= 1,
@@ -955,7 +961,9 @@ fn amplify(
                 None => agg = Some(out.stats.clone()),
                 Some(a) => absorb_stats(a, &out.stats),
             }
-            faults.absorb(&out.faults);
+            if keep_faults {
+                faults.absorb(&out.faults);
+            }
             fold_degraded(&mut degraded, &out.degraded);
             if out.surviving_node_rejects() {
                 detected = true;
@@ -1065,7 +1073,8 @@ impl FaultyEvenCycleReport {
     }
 
     /// The fault-free drivers' view of a run staged without faults: the
-    /// all-zero fault tally and the absent degradation verdict are dropped.
+    /// fault tally (left empty, since `amplify` skips it for these drivers)
+    /// and the degradation verdict are dropped.
     fn fault_free(self) -> EvenCycleReport {
         EvenCycleReport {
             detected: self.detected,
@@ -1123,7 +1132,7 @@ pub fn detect_even_cycle_faulty_observed(
     obs: &EvenCycleObserver,
 ) -> Result<FaultyEvenCycleReport, SimError> {
     let prepared = obs.install(stage(g, &cfg, faults, transport)).prepare();
-    amplify(&prepared, &cfg, transport, obs)
+    amplify(&prepared, &cfg, transport, obs, true)
 }
 
 #[cfg(test)]

@@ -153,6 +153,22 @@ else
     echo "    one clock in the engines (the Profiler); every event deterministic"
 fi
 
+# Borrowed inboxes: a delivered message is a reference into the engine's
+# arenas, valid for one on_round call, so no delivery clones a message or
+# touches a reference count. The Arc-per-broadcast payload type (Payload,
+# its Shared/Owned variants and as_shared) is gone and must stay gone.
+# A bare `into_owned` is not matched: Cow::into_owned is legitimate.
+echo "==> checking the removed Arc payload path is absent"
+payloads='congest::Payload|Payload::(Shared|Owned)|as_shared\('
+if grep -rnE "$payloads" src tests examples crates \
+    --exclude-dir=target 2>/dev/null; then
+    echo "error: the removed Arc payload path reappeared; inboxes lend" \
+         "each message by reference (congest::Inbox)" >&2
+    status=1
+else
+    echo "    borrowed inboxes only (no Arc payload type)"
+fi
+
 # The CSR routing arena replaced the per-receiver scan of a per-node wire
 # list; no non-test code may reintroduce that pattern.
 echo "==> checking for the removed per-receiver wire-scan pattern"
