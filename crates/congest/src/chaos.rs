@@ -126,7 +126,7 @@ pub struct ChaosSchedule {
     /// Engine seed the schedule runs under.
     pub seed: u64,
     /// The fault ingredients, applied as one stack (first non-deliver
-    /// verdict wins, see [`crate::faults::FaultStack`]).
+    /// verdict wins, see [`FaultSpec::Stack`]).
     pub events: Vec<ChaosEvent>,
 }
 
@@ -373,14 +373,8 @@ mod tests {
     fn shrink_reaches_a_minimal_reproducer() {
         // Synthetic oracle: violates iff the stack crashes node 0.
         let oracle = |spec: &FaultSpec, _seed: u64| -> Vec<String> {
-            fn crashes_zero(s: &FaultSpec) -> bool {
-                match s {
-                    FaultSpec::CrashStop(c) => c.crash_round(0, 8, 1).is_some(),
-                    FaultSpec::Stack(v) => v.iter().any(crashes_zero),
-                    _ => false,
-                }
-            }
-            if crashes_zero(spec) {
+            let g = graphlib::generators::path(8);
+            if spec.compile(&g, 1).crash_round(0).is_some() {
                 vec!["node 0 lost".into()]
             } else {
                 vec![]

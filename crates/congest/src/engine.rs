@@ -28,7 +28,7 @@
 //! unified [`Outcome`].
 
 use crate::error::SimError;
-use crate::faults::{Delivery, DeliveryCtx, FaultModel, FaultReport};
+use crate::faults::{Delivery, DeliveryCtx, FaultReport, Faults};
 use crate::message::BitSize;
 use crate::node::{reuse_view, NodeAlgorithm, NodeContext, Outbox, Outgoing};
 use crate::obsv::collect::{Collector, SimEvent};
@@ -96,10 +96,9 @@ struct Shard<M: 'static> {
     /// The step job's inbox view, emptied between nodes; kept here (typed
     /// for no live borrow) only so its allocation is reused every round.
     view: Vec<(u32, &'static M)>,
-    /// Fault-layer tallies for this shard's receivers this round.
-    delivered: u64,
-    dropped: u64,
-    corrupted: u64,
+    /// This round's deliveries to the shard's receivers, indexed by
+    /// [`Fate`]: delivered, dropped, corrupted.
+    tally: [u64; 3],
     /// Delivery events buffered in local receiver order; drained
     /// sequentially in shard order (= node order) after the parallel pass.
     events: Vec<SimEvent>,
@@ -249,9 +248,7 @@ impl<M> Shard<M> {
             slots: Vec::new(),
             damaged: Vec::new(),
             view: Vec::new(),
-            delivered: 0,
-            dropped: 0,
-            corrupted: 0,
+            tally: [0; 3],
             events: Vec::new(),
             prev_ids: if provenance {
                 vec![Vec::new(); len]
@@ -325,13 +322,62 @@ fn bucket<'a>(
     &order[start..start + slot_len[rel_slot] as usize]
 }
 
+/// What one delivery came to once the fault verdict is applied: it indexes
+/// a shard's tallies and names the delivery's event.
+#[derive(Clone, Copy)]
+enum Fate {
+    Delivered,
+    Dropped,
+    Corrupted,
+}
+
+impl Fate {
+    fn event(
+        self,
+        round: usize,
+        from: usize,
+        to: usize,
+        port: usize,
+        bits: usize,
+        msg_id: u64,
+    ) -> SimEvent {
+        match self {
+            Fate::Delivered => SimEvent::Deliver {
+                round,
+                from,
+                to,
+                port,
+                bits,
+                msg_id,
+            },
+            Fate::Dropped => SimEvent::Drop {
+                round,
+                from,
+                to,
+                port,
+                bits,
+                msg_id,
+            },
+            Fate::Corrupted => SimEvent::Corrupt {
+                round,
+                from,
+                to,
+                port,
+                bits,
+                msg_id,
+            },
+        }
+    }
+}
+
 /// Merges one destination shard's incoming mailboxes (in source shard
-/// order), adjudicates every delivery through the fault model, and fills
-/// the shard's inbox slab with `(port, source)` pairs. Sequential within
-/// the shard; the engine runs one such job per shard in parallel. Every
-/// [`DeliveryCtx`] field is absolute (node indices, ports, link slots), so
-/// the fault stream is independent of both the shard count and the thread
-/// count. No message is cloned except a copy a fault damages.
+/// order), adjudicates every delivery through the run's fault plan (none
+/// when the plan is empty), and fills the shard's inbox slab with
+/// `(port, source)` pairs. Sequential within the shard; the engine runs one
+/// such job per shard in parallel. Every [`DeliveryCtx`] field is absolute
+/// (node indices, ports, link slots), so the fault stream is independent of
+/// both the shard count and the thread count. No message is cloned except a
+/// copy a fault damages.
 #[allow(clippy::too_many_arguments)]
 fn deliver_shard<M: BitSize + Clone>(
     shard: &mut Shard<M>,
@@ -341,14 +387,14 @@ fn deliver_shard<M: BitSize + Clone>(
     rev_port: &[u32],
     broadcasts: &[Broadcasts<M>],
     bcasters: &[Vec<u32>],
-    model: &dyn FaultModel,
+    faults: &Faults,
     crashed: &[Option<usize>],
     id_base: &[u64],
     tracing: bool,
     provenance: bool,
     round: usize,
-    seed: u64,
 ) {
+    let clean = faults.is_empty();
     shard.route.epoch += 1;
     let ep = shard.route.epoch;
     let (start, end, slot_base) = (shard.start, shard.end, shard.slot_base);
@@ -356,9 +402,7 @@ fn deliver_shard<M: BitSize + Clone>(
     shard.slots.clear();
     shard.damaged.clear();
     shard.route.inbox.clear();
-    shard.delivered = 0;
-    shard.dropped = 0;
-    shard.corrupted = 0;
+    shard.tally = [0; 3];
     shard.events.clear();
     // Concatenate the incoming mailboxes in source shard order. Each slot's
     // bucket still ends up in that (single) sender's outbox order, so the
@@ -391,9 +435,7 @@ fn deliver_shard<M: BitSize + Clone>(
         route,
         unicasts,
         damaged,
-        delivered,
-        dropped,
-        corrupted,
+        tally,
         events,
         prev_ids,
         cur_ids,
@@ -449,104 +491,53 @@ fn deliver_shard<M: BitSize + Clone>(
                     // otherwise).
                     let msg_id = if tracing { id_base[u] + idx as u64 } else { 0 };
                     // Messages to a crashed node are lost, and the loss is
-                    // an event like any other drop.
-                    if receiver_down {
-                        *dropped += 1;
-                        if tracing {
-                            events.push(SimEvent::Drop {
-                                round,
-                                from: u,
-                                to: v,
-                                port: p,
-                                bits: m.bit_size(),
-                                msg_id,
-                            });
-                        }
-                        continue;
-                    }
-                    let ctx = DeliveryCtx {
-                        seed,
-                        round,
-                        from: u,
-                        to: v,
-                        to_port: p,
-                        link_slot: offsets[u] as usize + their_port,
-                        msg_index: idx as usize,
-                        bits: m.bit_size(),
+                    // an event like any other drop. An empty plan is never
+                    // asked.
+                    let verdict = if receiver_down {
+                        Delivery::Drop
+                    } else if clean {
+                        Delivery::Deliver
+                    } else {
+                        faults.delivery(&DeliveryCtx {
+                            round,
+                            from: u,
+                            to: v,
+                            to_port: p,
+                            link_slot: offsets[u] as usize + their_port,
+                            msg_index: idx as usize,
+                        })
                     };
-                    match model.delivery(&ctx) {
-                        Delivery::Deliver => {
-                            inbox.push((p as u32, src));
-                            *delivered += 1;
-                            if provenance {
-                                cur_ids[local].push(msg_id);
-                            }
-                            if tracing {
-                                events.push(SimEvent::Deliver {
-                                    round,
-                                    from: u,
-                                    to: v,
-                                    port: p,
-                                    bits: ctx.bits,
-                                    msg_id,
-                                });
-                            }
-                        }
-                        Delivery::Drop => {
-                            *dropped += 1;
-                            if tracing {
-                                events.push(SimEvent::Drop {
-                                    round,
-                                    from: u,
-                                    to: v,
-                                    port: p,
-                                    bits: ctx.bits,
-                                    msg_id,
-                                });
-                            }
-                        }
+                    let (fate, entry) = match verdict {
+                        Delivery::Deliver => (Fate::Delivered, Some(src)),
+                        Delivery::Drop => (Fate::Dropped, None),
                         Delivery::Corrupt(bit) => {
                             // The one copy delivery makes: the damaged
                             // bits reach this receiver alone, while every
                             // other receiver of a broadcast still reads
-                            // the sender's pristine message.
+                            // the sender's pristine message. A payload with
+                            // no materialized wire bits to flip is
+                            // delivered intact.
                             let mut copy = m.clone();
                             if copy.corrupt_bit(bit) {
-                                inbox.push((p as u32, Src::Damaged(damaged.len() as u32)));
                                 damaged.push(copy);
-                                *corrupted += 1;
-                                if tracing {
-                                    events.push(SimEvent::Corrupt {
-                                        round,
-                                        from: u,
-                                        to: v,
-                                        port: p,
-                                        bits: ctx.bits,
-                                        msg_id,
-                                    });
-                                }
+                                let at = Src::Damaged(damaged.len() as u32 - 1);
+                                (Fate::Corrupted, Some(at))
                             } else {
-                                // Payload has no materialized wire bits to
-                                // flip — delivered intact.
-                                inbox.push((p as u32, src));
-                                *delivered += 1;
-                                if tracing {
-                                    events.push(SimEvent::Deliver {
-                                        round,
-                                        from: u,
-                                        to: v,
-                                        port: p,
-                                        bits: ctx.bits,
-                                        msg_id,
-                                    });
-                                }
-                            }
-                            // Either way the payload reached the algorithm,
-                            // so it enters the receiver's causal deps.
-                            if provenance {
-                                cur_ids[local].push(msg_id);
+                                (Fate::Delivered, Some(src))
                             }
                         }
+                    };
+                    tally[fate as usize] += 1;
+                    if let Some(entry) = entry {
+                        inbox.push((p as u32, entry));
+                        // Corrupted payloads reach the algorithm too, so
+                        // they enter the receiver's causal deps.
+                        if provenance {
+                            cur_ids[local].push(msg_id);
+                        }
+                    }
+                    if tracing {
+                        events.push(fate.event(round, u, v, p, m.bit_size(), msg_id));
                     }
                 }
             }
@@ -755,10 +746,9 @@ impl<'a> Engine<'a> {
 
         let mut nodes: Vec<A> = (0..n).map(&make).collect();
 
-        // Fresh fault model per run: stateful models (Markov chains, crash
-        // schedules) re-derive everything from (topology, seed).
-        let mut model = cfg.faults.build();
-        model.reset(g, cfg.seed);
+        // One fault plan per run: the Gilbert–Elliott chains and the crash
+        // schedule derive everything from (topology, seed).
+        let mut faults = cfg.faults.compile(g, cfg.seed);
         let mut report = FaultReport::default();
         // crashed[v] = round v crashed at; crash-stop, so never cleared.
         let mut crashed: Vec<Option<usize>> = vec![None; n];
@@ -869,22 +859,21 @@ impl<'a> Engine<'a> {
             }
             rec(SimEvent::RoundStart { round });
 
-            // Single-threaded fault bookkeeping: advance per-round model
-            // state, then apply this round's crashes. A node crashing in
-            // round r sends nothing from round r on — its pending outbox
-            // (produced at the end of round r-1) is discarded before
-            // accounting, so crashed nodes are charged no bits.
-            model.begin_round(round);
-            for (v, slot) in crashed.iter_mut().enumerate() {
-                if slot.is_none() && model.crashed(v, round, cfg.seed) {
-                    *slot = Some(round);
-                    if !outboxes[v].is_empty() {
-                        outbox_nonempty -= 1;
-                    }
-                    outboxes[v].clear();
-                    report.crashed.push((v, round));
-                    rec(SimEvent::Crash { round, node: v });
+            // Single-threaded fault bookkeeping: advance the plan's
+            // per-round state, then apply this round's crashes. A node
+            // crashing in round r sends nothing from round r on — its
+            // pending outbox (produced at the end of round r-1) is
+            // discarded before accounting, so crashed nodes are charged no
+            // bits.
+            faults.begin_round(round);
+            for v in faults.crashes(round) {
+                crashed[v] = Some(round);
+                if !outboxes[v].is_empty() {
+                    outbox_nonempty -= 1;
                 }
+                outboxes[v].clear();
+                report.crashed.push((v, round));
+                rec(SimEvent::Crash { round, node: v });
             }
 
             // Assign this round's message ids: one per outbox entry (a
@@ -981,7 +970,7 @@ impl<'a> Engine<'a> {
 
             // Deliver shard-parallel: each destination shard merges its
             // incoming mailboxes (in source shard order), adjudicates every
-            // delivery through the fault model, and fills its inbox slab —
+            // delivery through the fault plan, and fills its inbox slab —
             // see [`deliver_shard`]. Fault randomness is a deterministic
             // function of the engine seed and absolute coordinates, so the
             // run stays reproducible; per-shard fault counts and structured
@@ -1022,7 +1011,7 @@ impl<'a> Engine<'a> {
                     let bcasters_ref = &bcasters;
                     let crashed_ref = &crashed;
                     let id_base_ref = &id_base;
-                    let model_ref: &dyn FaultModel = &*model;
+                    let faults_ref = &faults;
                     let rev_port_ref = &rev_port;
                     shards
                         .par_iter_mut()
@@ -1036,13 +1025,12 @@ impl<'a> Engine<'a> {
                                 rev_port_ref,
                                 broadcasts_ref,
                                 bcasters_ref,
-                                model_ref,
+                                faults_ref,
                                 crashed_ref,
                                 id_base_ref,
                                 tracing,
                                 provenance,
                                 round,
-                                cfg.seed,
                             );
                         });
                 }
@@ -1055,9 +1043,10 @@ impl<'a> Engine<'a> {
                 }
                 // Reduce tallies and drain events in shard (= node) order.
                 for shard in shards.iter_mut() {
-                    report.delivered += shard.delivered;
-                    round_dropped += shard.dropped;
-                    round_corrupted += shard.corrupted;
+                    let [delivered, dropped, corrupted] = shard.tally;
+                    report.delivered += delivered;
+                    round_dropped += dropped;
+                    round_corrupted += corrupted;
                     for ev in shard.events.drain(..) {
                         rec(ev);
                     }

@@ -2,14 +2,15 @@
 //!
 //! The paper's algorithms are analyzed in a failure-free synchronous model,
 //! but a production message-passing substrate must survive lossy links,
-//! crashed nodes, and corrupted payloads. This module extracts message
-//! delivery into a [`FaultModel`] trait the engine consults once per
-//! delivery, plus a [`FaultSpec`] value type describing model configurations
-//! (cloneable, so detector drivers can re-run repetitions with fresh
-//! engines), and the [`FaultReport`] the engine attaches to every
-//! [`crate::Outcome`].
+//! crashed nodes, and corrupted payloads. A run is configured with one
+//! [`FaultSpec`] value (cloneable, so detector drivers can re-run
+//! repetitions with fresh engines). Each engine run compiles it with
+//! [`FaultSpec::compile`] into one [`Faults`] plan, asks the plan for
+//! every round's crashes and every delivery's fate, and attaches a
+//! [`FaultReport`] to its [`crate::Outcome`]. An empty plan
+//! ([`Faults::is_empty`]) is never asked about a delivery.
 //!
-//! Every model is a **deterministic function of the engine seed**: a run
+//! Every plan is a **deterministic function of the engine seed**: a run
 //! with the same topology, algorithm, seed, and fault spec replays
 //! byte-for-byte, which keeps chaos tests reproducible and failures
 //! bisectable. Randomized detectors must stay *sound* under loss and
@@ -19,7 +20,7 @@
 use graphlib::Graph;
 use std::hash::{Hash, Hasher};
 
-/// The fate of a single message delivery, as decided by a [`FaultModel`].
+/// The fate of a single message delivery, as decided by a [`Faults`] plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
     /// Deliver the message intact.
@@ -32,11 +33,10 @@ pub enum Delivery {
     Corrupt(usize),
 }
 
-/// Everything a fault model may condition a delivery decision on.
+/// Everything a fault plan may condition a delivery decision on (the
+/// engine seed is the plan's own).
 #[derive(Debug, Clone, Copy)]
 pub struct DeliveryCtx {
-    /// Engine seed (models must derive all randomness from it).
-    pub seed: u64,
     /// Round the message is delivered in (1-based).
     pub round: usize,
     /// Sending node index.
@@ -50,8 +50,6 @@ pub struct DeliveryCtx {
     pub link_slot: usize,
     /// Index of the message in the sender's outbox this round.
     pub msg_index: usize,
-    /// Declared wire size of the message in bits.
-    pub bits: usize,
 }
 
 /// Maps arbitrary keys to a uniform `[0, 1)` double, deterministically.
@@ -67,191 +65,6 @@ pub fn raw_hash<K: Hash>(key: K) -> u64 {
     let mut h = graphlib::hash::FxHasher::default();
     key.hash(&mut h);
     h.finish()
-}
-
-/// A pluggable fault process over one engine run.
-///
-/// The engine calls [`FaultModel::reset`] once before round 1,
-/// [`FaultModel::begin_round`] at the top of every round (single-threaded,
-/// so stateful models may advance Markov chains here), then
-/// [`FaultModel::delivery`] for every message delivery and
-/// [`FaultModel::crashed`] for every node (both from the data-parallel
-/// section, hence `&self` and `Send + Sync`).
-pub trait FaultModel: Send + Sync {
-    /// Re-initializes internal state for a fresh run over `topology`.
-    fn reset(&mut self, topology: &Graph, seed: u64) {
-        let _ = (topology, seed);
-    }
-
-    /// Advances per-round state (e.g. Gilbert–Elliott channel chains).
-    fn begin_round(&mut self, round: usize) {
-        let _ = round;
-    }
-
-    /// Decides the fate of one delivery.
-    fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
-        let _ = ctx;
-        Delivery::Deliver
-    }
-
-    /// Whether `node` is crashed in `round` (crash-stop: once true for some
-    /// round, it must stay true for all later rounds).
-    fn crashed(&self, node: usize, round: usize, seed: u64) -> bool {
-        let _ = (node, round, seed);
-        false
-    }
-
-    /// Short human-readable name for traces and reports.
-    fn name(&self) -> &'static str;
-}
-
-// ---------------------------------------------------------------------------
-// Independent loss
-// ---------------------------------------------------------------------------
-
-/// Each delivery is lost independently with probability `p` — the classic
-/// packet-erasure channel (absorbs the engine's legacy `loss_rate` knob).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndependentLoss {
-    /// Loss probability per delivery.
-    pub p: f64,
-}
-
-impl IndependentLoss {
-    /// A channel losing each message with probability `p`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss rate must be a probability");
-        IndependentLoss { p }
-    }
-}
-
-impl FaultModel for IndependentLoss {
-    fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
-        if self.p > 0.0
-            // Keyed exactly as the engine's original `loss_rate` hash so
-            // pre-existing seeded runs replay unchanged.
-            && unit_hash((ctx.seed, ctx.round, ctx.to, ctx.to_port, ctx.msg_index)) < self.p
-        {
-            Delivery::Drop
-        } else {
-            Delivery::Deliver
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "independent-loss"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bursty loss (Gilbert–Elliott)
-// ---------------------------------------------------------------------------
-
-/// Two-state Gilbert–Elliott channel per directed link: a `Good` state with
-/// low loss and a `Bad` state with high loss, switching with the given
-/// per-round transition probabilities. Models bursty real-network loss that
-/// independent-loss models miss (consecutive rounds failing together).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GilbertElliott {
-    /// P(Good -> Bad) per round.
-    pub p_good_to_bad: f64,
-    /// P(Bad -> Good) per round.
-    pub p_bad_to_good: f64,
-    /// Loss probability while Good.
-    pub loss_good: f64,
-    /// Loss probability while Bad.
-    pub loss_bad: f64,
-    /// Per-directed-link state for the current round (true = Bad), indexed
-    /// by CSR link slot. Rebuilt by `reset`, advanced by `begin_round`.
-    bad: Vec<bool>,
-    seed: u64,
-    round: usize,
-}
-
-impl GilbertElliott {
-    /// A bursty channel. Transition and loss parameters must be
-    /// probabilities.
-    pub fn new(p_good_to_bad: f64, p_bad_to_good: f64, loss_good: f64, loss_bad: f64) -> Self {
-        for p in [p_good_to_bad, p_bad_to_good, loss_good, loss_bad] {
-            assert!((0.0..=1.0).contains(&p), "parameters must be probabilities");
-        }
-        GilbertElliott {
-            p_good_to_bad,
-            p_bad_to_good,
-            loss_good,
-            loss_bad,
-            bad: Vec::new(),
-            seed: 0,
-            round: 0,
-        }
-    }
-
-    /// A typical bursty profile: rare 10%-per-round bursts losing 90% of
-    /// traffic, against a clean good state.
-    pub fn bursty() -> Self {
-        GilbertElliott::new(0.1, 0.4, 0.0, 0.9)
-    }
-
-    /// Whether the link with CSR slot `slot` is in the Bad state this round.
-    pub fn is_bad(&self, slot: usize) -> bool {
-        self.bad.get(slot).copied().unwrap_or(false)
-    }
-}
-
-impl FaultModel for GilbertElliott {
-    fn reset(&mut self, topology: &Graph, seed: u64) {
-        // One chain per directed edge slot; initial state drawn from the
-        // chain's stationary distribution so short runs are not biased
-        // toward Good.
-        let slots = 2 * topology.m();
-        let denom = self.p_good_to_bad + self.p_bad_to_good;
-        let stationary_bad = if denom > 0.0 {
-            self.p_good_to_bad / denom
-        } else {
-            0.0
-        };
-        self.seed = seed;
-        self.round = 0;
-        self.bad = (0..slots)
-            .map(|s| unit_hash((seed, "ge-init", s)) < stationary_bad)
-            .collect();
-    }
-
-    fn begin_round(&mut self, round: usize) {
-        // Advance every chain once per round (single-threaded section).
-        if round <= self.round {
-            return;
-        }
-        for r in (self.round + 1)..=round {
-            for (s, state) in self.bad.iter_mut().enumerate() {
-                let u = unit_hash((self.seed, "ge-step", r, s));
-                *state = if *state {
-                    u >= self.p_bad_to_good
-                } else {
-                    u < self.p_good_to_bad
-                };
-            }
-        }
-        self.round = round;
-    }
-
-    fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
-        let p = if self.is_bad(ctx.link_slot) {
-            self.loss_bad
-        } else {
-            self.loss_good
-        };
-        if p > 0.0 && unit_hash((ctx.seed, "ge-loss", ctx.round, ctx.link_slot, ctx.msg_index)) < p
-        {
-            Delivery::Drop
-        } else {
-            Delivery::Deliver
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "gilbert-elliott"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -272,14 +85,12 @@ enum CrashPlan {
 /// recovery): from its crash round on, a node neither sends, receives, nor
 /// steps, and its pending outbox is discarded.
 ///
-/// The concrete per-node schedule is resolved at [`FaultModel::reset`]
-/// (seeded choices need the topology size); [`CrashStop::crash_round`]
+/// The concrete per-node schedule is resolved when a plan compiles
+/// (seeded choices need the topology size); [`Faults::crash_round`]
 /// exposes it for tests and reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashStop {
     plan: CrashPlan,
-    /// `resolved[v]` = crash round of `v`, filled by `reset`.
-    resolved: Vec<Option<usize>>,
 }
 
 impl CrashStop {
@@ -287,7 +98,6 @@ impl CrashStop {
     pub fn at(schedule: Vec<(usize, usize)>) -> Self {
         CrashStop {
             plan: CrashPlan::At(schedule),
-            resolved: Vec::new(),
         }
     }
 
@@ -299,68 +109,38 @@ impl CrashStop {
                 count,
                 within_rounds: within_rounds.max(1),
             },
-            resolved: Vec::new(),
         }
     }
 
-    fn resolve_one(&self, node: usize, n: usize, seed: u64) -> Option<usize> {
+    /// Folds this layer's crashes into `crash_at` (one entry per node),
+    /// keeping each node's earliest round.
+    fn resolve(&self, seed: u64, crash_at: &mut [Option<usize>]) {
+        let n = crash_at.len();
+        let mut crash = |v: usize, r: usize| {
+            if let Some(at) = crash_at.get_mut(v) {
+                *at = Some(at.map_or(r, |c| c.min(r)));
+            }
+        };
         match &self.plan {
-            CrashPlan::At(sched) => sched
-                .iter()
-                .filter(|&&(v, _)| v == node)
-                .map(|&(_, r)| r)
-                .min(),
+            CrashPlan::At(sched) => sched.iter().for_each(|&(v, r)| crash(v, r)),
             CrashPlan::Random {
                 count,
                 within_rounds,
             } => {
-                if n == 0 || node >= n {
-                    return None;
-                }
-                // Choose `count` distinct victims by ranking nodes by a
-                // seeded hash; node crashes iff its rank is below count.
-                let my_key = raw_hash((seed, "crash-victim", node));
-                let rank = (0..n)
-                    .filter(|&v| {
-                        let k = raw_hash((seed, "crash-victim", v));
-                        k < my_key || (k == my_key && v < node)
-                    })
-                    .count();
-                if rank < *count {
-                    Some(1 + (raw_hash((seed, "crash-round", node)) as usize) % *within_rounds)
-                } else {
-                    None
+                // The `count` victims are the nodes ranked lowest by a
+                // seeded hash, ties broken by index.
+                let mut ranked: Vec<(u64, usize)> = (0..n)
+                    .map(|v| (raw_hash((seed, "crash-victim", v)), v))
+                    .collect();
+                ranked.sort_unstable();
+                for &(_, v) in ranked.iter().take(*count) {
+                    crash(
+                        v,
+                        1 + (raw_hash((seed, "crash-round", v)) as usize) % within_rounds,
+                    );
                 }
             }
         }
-    }
-
-    /// The round `node` crashes at (network of `n` nodes, engine seed
-    /// `seed`), if any.
-    pub fn crash_round(&self, node: usize, n: usize, seed: u64) -> Option<usize> {
-        self.resolve_one(node, n, seed)
-    }
-}
-
-impl FaultModel for CrashStop {
-    fn reset(&mut self, topology: &Graph, seed: u64) {
-        let n = topology.n();
-        self.resolved = (0..n).map(|v| self.resolve_one(v, n, seed)).collect();
-    }
-
-    fn crashed(&self, node: usize, round: usize, seed: u64) -> bool {
-        match self.resolved.get(node) {
-            Some(r) => r.is_some_and(|r| round >= r),
-            // Standalone (un-reset) queries only resolve explicit
-            // schedules; Random needs `n` from reset.
-            None => self
-                .resolve_one(node, usize::MAX, seed)
-                .is_some_and(|r| round >= r),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "crash-stop"
     }
 }
 
@@ -418,88 +198,38 @@ impl LinkFailure {
     }
 }
 
-impl FaultModel for LinkFailure {
-    fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
-        if self.is_down(ctx.from, ctx.to, ctx.round) {
-            Delivery::Drop
-        } else {
-            Delivery::Deliver
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "link-failure"
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Payload corruption
+// The spec and its compiled plan
 // ---------------------------------------------------------------------------
 
-/// Seeded bit-flip corruption: each delivery is corrupted independently
-/// with probability `rate`, flipping one seeded-random payload bit.
-/// Only payloads that opt into corruption react (see
-/// [`crate::message::BitSize::corrupt_bit`]; [`crate::BitString`] and the
-/// reliable-transport envelope do) — others deliver intact, modeling
-/// checksummed headers around an opaque body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BitFlip {
-    /// Corruption probability per delivery.
-    pub rate: f64,
-}
-
-impl BitFlip {
-    /// A channel corrupting each delivery with probability `rate`.
-    pub fn new(rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        BitFlip { rate }
-    }
-}
-
-impl FaultModel for BitFlip {
-    fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
-        if self.rate > 0.0
-            && unit_hash((ctx.seed, "flip", ctx.round, ctx.link_slot, ctx.msg_index)) < self.rate
-        {
-            let bit = raw_hash((
-                ctx.seed,
-                "flip-bit",
-                ctx.round,
-                ctx.link_slot,
-                ctx.msg_index,
-            )) as usize;
-            Delivery::Corrupt(bit)
-        } else {
-            Delivery::Deliver
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "bit-flip"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Composition + cloneable spec
-// ---------------------------------------------------------------------------
-
-/// A cloneable description of a fault configuration. Detector drivers store
-/// a `FaultSpec` and build a fresh model per engine run, so repeated
-/// repetitions stay independent and reproducible.
+/// A cloneable description of a fault configuration — the one fault type a
+/// run accepts. Detector drivers store a `FaultSpec`, and every engine run
+/// compiles a fresh [`Faults`] plan from it, so repeated repetitions stay
+/// independent and reproducible.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultSpec {
     /// No faults (the failure-free model).
     None,
-    /// [`IndependentLoss`] with the given probability.
+    /// Each delivery is lost independently with this probability — the
+    /// classic packet-erasure channel.
     IndependentLoss(f64),
-    /// [`GilbertElliott`] with `(p_good_to_bad, p_bad_to_good, loss_good,
-    /// loss_bad)`.
+    /// A two-state Gilbert–Elliott channel per directed link, with
+    /// `(p_good_to_bad, p_bad_to_good, loss_good, loss_bad)`: a `Good`
+    /// state with low loss and a `Bad` state with high loss, switching with
+    /// the given per-round transition probabilities. Models bursty
+    /// real-network loss that independent loss misses (consecutive rounds
+    /// failing together).
     GilbertElliott(f64, f64, f64, f64),
     /// [`CrashStop`] faults.
     CrashStop(CrashStop),
     /// [`LinkFailure`] outages.
     LinkFailure(LinkFailure),
-    /// [`BitFlip`] corruption with the given rate.
+    /// Seeded bit-flip corruption: each delivery is corrupted independently
+    /// with this probability, flipping one seeded-random payload bit. Only
+    /// payloads that opt into corruption react (see
+    /// [`crate::message::BitSize::corrupt_bit`]; [`crate::BitString`] and
+    /// the reliable-transport envelope do) — others deliver intact,
+    /// modeling checksummed headers around an opaque body.
     BitFlip(f64),
     /// All listed faults at once; for each delivery the first non-`Deliver`
     /// verdict wins (drops shadow corruption), and a node is crashed if any
@@ -508,27 +238,77 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    /// Builds the runnable model this spec describes.
-    pub fn build(&self) -> Box<dyn FaultModel> {
+    /// Compiles the spec for one run over `g` with engine seed `seed`:
+    /// nested stacks flatten into one list of delivery layers in stack
+    /// order (`None` layers vanish), and every node's crash round is
+    /// resolved once, the earliest over all crash layers. Probabilities are
+    /// not checked here: [`Self::validate`] does that, and the simulator
+    /// runs it before every CONGEST run.
+    pub fn compile(&self, g: &Graph, seed: u64) -> Faults {
+        let mut layers = Vec::new();
+        // One entry per node, allocated by the first crash layer only.
+        let mut crash_at = Vec::new();
+        self.lower(g, seed, &mut layers, &mut crash_at);
+        // A crash scheduled for round 0 takes effect in round 1, the first
+        // round a node could send in.
+        let mut crashes: Vec<(usize, usize)> = crash_at
+            .iter()
+            .enumerate()
+            .filter_map(|(v, r)| r.map(|r| (r.max(1), v)))
+            .collect();
+        crashes.sort_unstable();
+        Faults {
+            seed,
+            round: 0,
+            layers,
+            crashes,
+        }
+    }
+
+    fn lower(
+        &self,
+        g: &Graph,
+        seed: u64,
+        layers: &mut Vec<Layer>,
+        crash_at: &mut Vec<Option<usize>>,
+    ) {
         match self {
-            FaultSpec::None => Box::new(NoFaults),
-            FaultSpec::IndependentLoss(p) => Box::new(IndependentLoss::new(*p)),
+            FaultSpec::None => {}
+            FaultSpec::IndependentLoss(p) => layers.push(Layer::Loss(*p)),
             FaultSpec::GilbertElliott(gb, bg, lg, lb) => {
-                Box::new(GilbertElliott::new(*gb, *bg, *lg, *lb))
+                // One chain per directed edge slot; initial state drawn
+                // from the chain's stationary distribution so short runs
+                // are not biased toward Good.
+                let denom = gb + bg;
+                let stationary_bad = if denom > 0.0 { gb / denom } else { 0.0 };
+                layers.push(Layer::Burst {
+                    p_good_to_bad: *gb,
+                    p_bad_to_good: *bg,
+                    loss_good: *lg,
+                    loss_bad: *lb,
+                    bad: (0..2 * g.m())
+                        .map(|s| unit_hash((seed, "ge-init", s)) < stationary_bad)
+                        .collect(),
+                });
             }
-            FaultSpec::CrashStop(c) => Box::new(c.clone()),
-            FaultSpec::LinkFailure(l) => Box::new(l.clone()),
-            FaultSpec::BitFlip(r) => Box::new(BitFlip::new(*r)),
-            FaultSpec::Stack(specs) => Box::new(FaultStack {
-                layers: specs.iter().map(|s| s.build()).collect(),
-            }),
+            FaultSpec::CrashStop(c) => {
+                crash_at.resize(g.n(), None);
+                c.resolve(seed, crash_at);
+            }
+            FaultSpec::LinkFailure(l) => layers.push(Layer::Link(l.clone())),
+            FaultSpec::BitFlip(r) => layers.push(Layer::Flip(*r)),
+            FaultSpec::Stack(specs) => {
+                for s in specs {
+                    s.lower(g, seed, layers, crash_at);
+                }
+            }
         }
     }
 
     /// Checks that every probability in the spec — including those inside
     /// [`FaultSpec::Stack`] layers — lies in `[0, 1]` (NaN does not), so a
-    /// bad spec is reported before a run instead of panicking in
-    /// [`Self::build`]. The simulator runs this before every CONGEST run.
+    /// bad spec is reported before a run. The simulator runs this before
+    /// every CONGEST run.
     pub fn validate(&self) -> Result<(), String> {
         let check = |what: &str, p: f64| {
             if (0.0..=1.0).contains(&p) {
@@ -551,7 +331,7 @@ impl FaultSpec {
         }
     }
 
-    /// Whether this spec can ever affect a run.
+    /// Whether this spec is made of `None` layers only.
     pub fn is_none(&self) -> bool {
         match self {
             FaultSpec::None => true,
@@ -561,44 +341,124 @@ impl FaultSpec {
     }
 }
 
-/// The failure-free model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultModel for NoFaults {
-    fn name(&self) -> &'static str {
-        "none"
-    }
+/// One delivery layer of a compiled plan.
+#[derive(Debug)]
+enum Layer {
+    /// Independent loss with this probability.
+    Loss(f64),
+    /// A Gilbert–Elliott channel; `bad[slot]` is the current state of the
+    /// directed link with that CSR slot.
+    Burst {
+        p_good_to_bad: f64,
+        p_bad_to_good: f64,
+        loss_good: f64,
+        loss_bad: f64,
+        bad: Vec<bool>,
+    },
+    /// Scheduled link outages.
+    Link(LinkFailure),
+    /// Bit-flip corruption with this probability.
+    Flip(f64),
 }
 
-/// Several fault models applied together.
-pub struct FaultStack {
-    layers: Vec<Box<dyn FaultModel>>,
-}
-
-impl FaultStack {
-    /// Stacks the given models.
-    pub fn new(layers: Vec<Box<dyn FaultModel>>) -> Self {
-        FaultStack { layers }
-    }
-}
-
-impl FaultModel for FaultStack {
-    fn reset(&mut self, topology: &Graph, seed: u64) {
-        for l in &mut self.layers {
-            l.reset(topology, seed);
+impl Layer {
+    fn delivery(&self, seed: u64, ctx: &DeliveryCtx) -> Delivery {
+        let dropped = match self {
+            // Keyed exactly as the engine's original `loss_rate` hash so
+            // pre-existing seeded runs replay unchanged.
+            Layer::Loss(p) => {
+                *p > 0.0 && unit_hash((seed, ctx.round, ctx.to, ctx.to_port, ctx.msg_index)) < *p
+            }
+            Layer::Burst {
+                loss_good,
+                loss_bad,
+                bad,
+                ..
+            } => {
+                let p = if bad.get(ctx.link_slot).copied().unwrap_or(false) {
+                    *loss_bad
+                } else {
+                    *loss_good
+                };
+                p > 0.0 && unit_hash((seed, "ge-loss", ctx.round, ctx.link_slot, ctx.msg_index)) < p
+            }
+            Layer::Link(l) => l.is_down(ctx.from, ctx.to, ctx.round),
+            Layer::Flip(rate) => {
+                if *rate > 0.0
+                    && unit_hash((seed, "flip", ctx.round, ctx.link_slot, ctx.msg_index)) < *rate
+                {
+                    let key = (seed, "flip-bit", ctx.round, ctx.link_slot, ctx.msg_index);
+                    return Delivery::Corrupt(raw_hash(key) as usize);
+                }
+                false
+            }
+        };
+        if dropped {
+            Delivery::Drop
+        } else {
+            Delivery::Deliver
         }
     }
+}
 
-    fn begin_round(&mut self, round: usize) {
-        for l in &mut self.layers {
-            l.begin_round(round);
-        }
+/// A [`FaultSpec`] compiled for one run: the delivery layers in stack
+/// order and every node's crash round. Built by [`FaultSpec::compile`].
+///
+/// The engine calls [`Faults::begin_round`] at the top of every round
+/// (advancing the Gilbert–Elliott chains), applies
+/// [`Faults::crashes`] for that round, then asks [`Faults::delivery`]
+/// about every delivery to a live node — unless the plan
+/// [`is_empty`](Faults::is_empty).
+#[derive(Debug)]
+pub struct Faults {
+    seed: u64,
+    /// The last round the chains were advanced to.
+    round: usize,
+    /// The delivery layers, in stack order.
+    layers: Vec<Layer>,
+    /// `(round, node)` for every node that crashes, sorted; each node
+    /// appears at most once, with a round of at least 1.
+    crashes: Vec<(usize, usize)>,
+}
+
+impl Faults {
+    /// Whether the plan can affect no run: no delivery layer and no crash.
+    pub fn is_empty(&self) -> bool {
+        self.layers.is_empty() && self.crashes.is_empty()
     }
 
-    fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
-        for l in &self.layers {
-            match l.delivery(ctx) {
+    /// Advances per-round state (every Gilbert–Elliott chain steps once
+    /// per round) up to `round`; earlier rounds are a no-op.
+    pub fn begin_round(&mut self, round: usize) {
+        let seed = self.seed;
+        for r in (self.round + 1)..=round {
+            for layer in &mut self.layers {
+                if let Layer::Burst {
+                    p_good_to_bad,
+                    p_bad_to_good,
+                    bad,
+                    ..
+                } = layer
+                {
+                    for (s, state) in bad.iter_mut().enumerate() {
+                        let u = unit_hash((seed, "ge-step", r, s));
+                        *state = if *state {
+                            u >= *p_bad_to_good
+                        } else {
+                            u < *p_good_to_bad
+                        };
+                    }
+                }
+            }
+        }
+        self.round = self.round.max(round);
+    }
+
+    /// Decides the fate of one delivery: the first layer's non-`Deliver`
+    /// verdict, in stack order.
+    pub fn delivery(&self, ctx: &DeliveryCtx) -> Delivery {
+        for layer in &self.layers {
+            match layer.delivery(self.seed, ctx) {
                 Delivery::Deliver => continue,
                 other => return other,
             }
@@ -606,12 +466,20 @@ impl FaultModel for FaultStack {
         Delivery::Deliver
     }
 
-    fn crashed(&self, node: usize, round: usize, seed: u64) -> bool {
-        self.layers.iter().any(|l| l.crashed(node, round, seed))
+    /// The nodes that crash in `round`, ascending (crash-stop: each node
+    /// crashes in one round at most and stays down from then on).
+    pub fn crashes(&self, round: usize) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.crashes.partition_point(|&(r, _)| r < round);
+        let hi = self.crashes.partition_point(|&(r, _)| r <= round);
+        self.crashes[lo..hi].iter().map(|&(_, v)| v)
     }
 
-    fn name(&self) -> &'static str {
-        "stack"
+    /// The round `node` crashes in, if it ever does.
+    pub fn crash_round(&self, node: usize) -> Option<usize> {
+        self.crashes
+            .iter()
+            .find(|&&(_, v)| v == node)
+            .map(|&(r, _)| r)
     }
 }
 
@@ -723,34 +591,46 @@ mod tests {
     use super::*;
     use graphlib::generators;
 
-    fn ctx(seed: u64, round: usize, slot: usize, idx: usize) -> DeliveryCtx {
+    fn ctx(round: usize, slot: usize, idx: usize) -> DeliveryCtx {
         DeliveryCtx {
-            seed,
             round,
             from: 0,
             to: 1,
             to_port: 0,
             link_slot: slot,
             msg_index: idx,
-            bits: 8,
         }
+    }
+
+    /// Whether the first Gilbert–Elliott layer's link `slot` is Bad.
+    fn is_bad(f: &Faults, slot: usize) -> bool {
+        match &f.layers[0] {
+            Layer::Burst { bad, .. } => bad[slot],
+            other => panic!("expected a Gilbert-Elliott layer, got {other:?}"),
+        }
+    }
+
+    /// Whether `node` is down in `round` under plan `f`.
+    fn crashed(f: &Faults, node: usize, round: usize) -> bool {
+        f.crash_round(node).is_some_and(|r| round >= r)
     }
 
     #[test]
     fn independent_loss_extremes() {
-        let never = IndependentLoss::new(0.0);
-        let always = IndependentLoss::new(1.0);
+        let g = generators::path(2);
+        let never = FaultSpec::IndependentLoss(0.0).compile(&g, 1);
+        let always = FaultSpec::IndependentLoss(1.0).compile(&g, 1);
         for i in 0..50 {
-            assert_eq!(never.delivery(&ctx(1, 1, 0, i)), Delivery::Deliver);
-            assert_eq!(always.delivery(&ctx(1, 1, 0, i)), Delivery::Drop);
+            assert_eq!(never.delivery(&ctx(1, 0, i)), Delivery::Deliver);
+            assert_eq!(always.delivery(&ctx(1, 0, i)), Delivery::Drop);
         }
     }
 
     #[test]
     fn independent_loss_rate_roughly_honored() {
-        let m = IndependentLoss::new(0.3);
+        let m = FaultSpec::IndependentLoss(0.3).compile(&generators::path(2), 7);
         let drops = (0..10_000)
-            .filter(|&i| m.delivery(&ctx(7, 1 + i / 100, i % 100, i)) == Delivery::Drop)
+            .filter(|&i| m.delivery(&ctx(1 + i / 100, i % 100, i)) == Delivery::Drop)
             .count();
         assert!((2500..3500).contains(&drops), "drops = {drops}");
     }
@@ -758,11 +638,7 @@ mod tests {
     #[test]
     fn gilbert_elliott_is_bursty_and_deterministic() {
         let g = generators::cycle(6);
-        let mk = || {
-            let mut m = GilbertElliott::new(0.2, 0.3, 0.0, 1.0);
-            m.reset(&g, 99);
-            m
-        };
+        let mk = || FaultSpec::GilbertElliott(0.2, 0.3, 0.0, 1.0).compile(&g, 99);
         let mut a = mk();
         let mut b = mk();
         let mut streak = 0usize;
@@ -770,8 +646,8 @@ mod tests {
         for round in 1..=200 {
             a.begin_round(round);
             b.begin_round(round);
-            assert_eq!(a.is_bad(0), b.is_bad(0), "chains are seeded");
-            if a.is_bad(0) {
+            assert_eq!(is_bad(&a, 0), is_bad(&b, 0), "chains are seeded");
+            if is_bad(&a, 0) {
                 streak += 1;
                 max_streak = max_streak.max(streak);
             } else {
@@ -786,40 +662,84 @@ mod tests {
     #[test]
     fn gilbert_elliott_loss_follows_state() {
         let g = generators::path(2);
-        let mut m = GilbertElliott::new(1.0, 0.0, 0.0, 1.0); // instantly bad forever
-        m.reset(&g, 5);
+        // Instantly bad forever.
+        let mut m = FaultSpec::GilbertElliott(1.0, 0.0, 0.0, 1.0).compile(&g, 5);
         m.begin_round(1);
-        assert!(m.is_bad(0));
-        assert_eq!(m.delivery(&ctx(5, 1, 0, 0)), Delivery::Drop);
+        assert!(is_bad(&m, 0));
+        assert_eq!(m.delivery(&ctx(1, 0, 0)), Delivery::Drop);
     }
 
     #[test]
     fn crash_stop_schedule() {
-        let m = CrashStop::at(vec![(2, 5), (0, 1)]);
-        assert!(!m.crashed(2, 4, 0));
-        assert!(m.crashed(2, 5, 0));
-        assert!(m.crashed(2, 50, 0), "crash-stop is permanent");
-        assert!(m.crashed(0, 1, 0));
-        assert!(!m.crashed(1, 100, 0));
+        let m = FaultSpec::CrashStop(CrashStop::at(vec![(2, 5), (0, 1)]))
+            .compile(&generators::path(4), 0);
+        assert!(!crashed(&m, 2, 4));
+        assert!(crashed(&m, 2, 5));
+        assert!(crashed(&m, 2, 50), "crash-stop is permanent");
+        assert!(crashed(&m, 0, 1));
+        assert!(!crashed(&m, 1, 100));
+        // The per-round lists name each crash once, in its round.
+        assert_eq!(m.crashes(1).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(m.crashes(5).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(m.crashes(6).count(), 0);
+        // Round 0 takes effect in round 1; nodes outside the graph never
+        // crash; a node's earliest scheduled round wins.
+        let early = FaultSpec::CrashStop(CrashStop::at(vec![(3, 0), (9, 1), (1, 4), (1, 2)]))
+            .compile(&generators::path(4), 0);
+        assert_eq!(early.crashes(1).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(early.crash_round(1), Some(2));
+        assert_eq!(early.crash_round(9), None);
     }
 
     #[test]
     fn crash_stop_random_is_seeded_and_bounded() {
-        let spec = CrashStop::random(3, 10);
+        let spec = FaultSpec::CrashStop(CrashStop::random(3, 10));
         let n = 20;
-        let victims: Vec<usize> = (0..n)
-            .filter(|&v| spec.crash_round(v, n, 7).is_some())
-            .collect();
+        let g = generators::path(n);
+        let plan = spec.compile(&g, 7);
+        let victims: Vec<usize> = (0..n).filter(|&v| plan.crash_round(v).is_some()).collect();
         assert_eq!(victims.len(), 3);
+        let again = spec.compile(&g, 7);
         for &v in &victims {
-            let r = spec.crash_round(v, n, 7).unwrap();
+            let r = plan.crash_round(v).unwrap();
             assert!((1..=10).contains(&r));
-            assert_eq!(spec.crash_round(v, n, 7), Some(r), "deterministic");
+            assert_eq!(again.crash_round(v), Some(r), "deterministic");
         }
-        let victims2: Vec<usize> = (0..n)
-            .filter(|&v| spec.crash_round(v, n, 8).is_some())
-            .collect();
+        let plan2 = spec.compile(&g, 8);
+        let victims2: Vec<usize> = (0..n).filter(|&v| plan2.crash_round(v).is_some()).collect();
         assert_eq!(victims2.len(), 3);
+    }
+
+    #[test]
+    fn crash_stop_random_matches_rank_definition() {
+        // The reference: node v crashes iff fewer than `count` nodes rank
+        // below it by (victim hash, index), at round 1 + its round hash
+        // modulo the window.
+        let reference = |v: usize, n: usize, count: usize, within: usize, seed: u64| {
+            let key = |u: usize| raw_hash((seed, "crash-victim", u));
+            let rank = (0..n)
+                .filter(|&u| key(u) < key(v) || (key(u) == key(v) && u < v))
+                .count();
+            (rank < count).then(|| 1 + (raw_hash((seed, "crash-round", v)) as usize) % within)
+        };
+        for n in [1usize, 2, 7, 40, 129] {
+            let g = generators::path(n);
+            for count in [0usize, 1, 3, n, n + 2] {
+                for within in [1usize, 4, 10] {
+                    for seed in [0u64, 1, 7, 12_345] {
+                        let plan = FaultSpec::CrashStop(CrashStop::random(count, within))
+                            .compile(&g, seed);
+                        for v in 0..n {
+                            assert_eq!(
+                                plan.crash_round(v),
+                                reference(v, n, count, within, seed),
+                                "n {n}, count {count}, within {within}, seed {seed}, node {v}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -834,28 +754,30 @@ mod tests {
 
     #[test]
     fn bit_flip_produces_corruptions() {
-        let m = BitFlip::new(1.0);
+        let g = generators::path(2);
+        let m = FaultSpec::BitFlip(1.0).compile(&g, 3);
         for i in 0..10 {
-            assert!(matches!(m.delivery(&ctx(3, 1, 0, i)), Delivery::Corrupt(_)));
+            assert!(matches!(m.delivery(&ctx(1, 0, i)), Delivery::Corrupt(_)));
         }
-        let none = BitFlip::new(0.0);
-        assert_eq!(none.delivery(&ctx(3, 1, 0, 0)), Delivery::Deliver);
+        let none = FaultSpec::BitFlip(0.0).compile(&g, 3);
+        assert_eq!(none.delivery(&ctx(1, 0, 0)), Delivery::Deliver);
     }
 
     #[test]
     fn stack_first_fault_wins() {
-        let spec = FaultSpec::Stack(vec![
+        let g = generators::path(2);
+        let m = FaultSpec::Stack(vec![
             FaultSpec::IndependentLoss(0.0),
             FaultSpec::BitFlip(1.0),
-        ]);
-        let m = spec.build();
-        assert!(matches!(m.delivery(&ctx(3, 1, 0, 0)), Delivery::Corrupt(_)));
+        ])
+        .compile(&g, 3);
+        assert!(matches!(m.delivery(&ctx(1, 0, 0)), Delivery::Corrupt(_)));
         let drop_wins = FaultSpec::Stack(vec![
             FaultSpec::IndependentLoss(1.0),
             FaultSpec::BitFlip(1.0),
         ])
-        .build();
-        assert_eq!(drop_wins.delivery(&ctx(3, 1, 0, 0)), Delivery::Drop);
+        .compile(&g, 3);
+        assert_eq!(drop_wins.delivery(&ctx(1, 0, 0)), Delivery::Drop);
     }
 
     #[test]
@@ -893,6 +815,21 @@ mod tests {
         assert!(FaultSpec::None.is_none());
         assert!(FaultSpec::Stack(vec![FaultSpec::None]).is_none());
         assert!(!FaultSpec::IndependentLoss(0.5).is_none());
+        // The compiled plan of a `None`-only spec is empty.
+        let g = generators::path(3);
+        for spec in [
+            FaultSpec::None,
+            FaultSpec::Stack(vec![
+                FaultSpec::None,
+                FaultSpec::Stack(vec![FaultSpec::None]),
+            ]),
+        ] {
+            assert!(spec.compile(&g, 1).is_empty(), "{spec:?}");
+        }
+        assert!(!FaultSpec::IndependentLoss(0.5).compile(&g, 1).is_empty());
+        assert!(!FaultSpec::CrashStop(CrashStop::at(vec![(0, 3)]))
+            .compile(&g, 1)
+            .is_empty());
     }
 
     #[test]

@@ -50,8 +50,7 @@ pub use chaos::{ChaosEvent, ChaosFailure, ChaosSchedule};
 pub use engine::Bandwidth;
 pub use error::SimError;
 pub use faults::{
-    BitFlip, CrashStop, Delivery, DeliveryCtx, FaultModel, FaultReport, FaultSpec, GilbertElliott,
-    IndependentLoss, LinkFailure, NoFaults, Outage,
+    CrashStop, Delivery, DeliveryCtx, FaultReport, FaultSpec, Faults, LinkFailure, Outage,
 };
 pub use message::{bits_for_domain, BitSize, BitString};
 pub use node::{Decision, Inbox, NodeAlgorithm, NodeContext, Outbox, Outgoing};

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 /// A histogram over `u64` samples with power-of-two buckets: bucket `i`
 /// counts samples whose bit length is `i` (bucket 0 holds exact zeros, so
 /// bucket boundaries are `[2^(i-1), 2^i)`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
     sum: u64,
@@ -27,20 +27,6 @@ pub struct Histogram {
     max: u64,
     buckets: BTreeMap<u32, u64>,
 }
-
-// Zero-count buckets are invisible (a reset histogram keeps its bucket keys
-// so batched reuse never reallocates), so equality must ignore them too.
-impl PartialEq for Histogram {
-    fn eq(&self, other: &Self) -> bool {
-        self.count == other.count
-            && self.sum == other.sum
-            && self.min == other.min
-            && self.max == other.max
-            && self.buckets().eq(other.buckets())
-    }
-}
-
-impl Eq for Histogram {}
 
 impl Histogram {
     /// An empty histogram.
@@ -116,22 +102,7 @@ impl Histogram {
 
     /// `(bit_length, count)` pairs for the non-empty buckets, ascending.
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets
-            .iter()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(&b, &c)| (b, c))
-    }
-
-    /// Clears all samples in place, keeping bucket-key storage allocated so
-    /// batched runs reuse it instead of rebuilding the tree.
-    pub fn reset(&mut self) {
-        self.count = 0;
-        self.sum = 0;
-        self.min = 0;
-        self.max = 0;
-        for c in self.buckets.values_mut() {
-            *c = 0;
-        }
+        self.buckets.iter().map(|(&b, &c)| (b, c))
     }
 
     /// The histogram as one JSON object.
@@ -214,30 +185,6 @@ impl Metrics {
     /// [`Outcome`]: crate::Outcome
     pub fn from_run(stats: &RunStats, faults: &FaultReport) -> Metrics {
         let mut m = Metrics::new();
-        m.record_run(stats, faults);
-        m
-    }
-
-    /// Clears the registry in place: counters and gauges are dropped,
-    /// histograms keep their bucket storage (values zeroed) so a reused
-    /// registry produces snapshots identical to a fresh one without
-    /// reallocating. Empty histograms are skipped by [`Metrics::snapshot`].
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        for h in self.hists.values_mut() {
-            h.reset();
-        }
-    }
-
-    /// [`Metrics::from_run`] into an existing registry: resets in place,
-    /// then repopulates the standard run series. This is the batched-run
-    /// path ([`Prepared`] keeps one scratch registry per topology).
-    ///
-    /// [`Prepared`]: crate::Prepared
-    pub fn record_run(&mut self, stats: &RunStats, faults: &FaultReport) {
-        self.reset();
-        let m = self;
         m.inc("bits.total", stats.total_bits);
         m.inc("messages.total", stats.total_messages);
         m.inc("rounds.total", stats.rounds as u64);
@@ -278,11 +225,12 @@ impl Metrics {
         for &r in &faults.retransmissions_per_link {
             m.observe("transport.retransmissions.per_link", r);
         }
+        m
     }
 
     /// Freezes the registry into a deterministically ordered snapshot.
-    /// Histograms with no samples are omitted: they only arise from
-    /// [`Metrics::reset`] reuse, and a fresh registry would not have them.
+    /// Histograms with no samples (an empty one installed with
+    /// [`Metrics::install_hist`]) are omitted.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(String, MetricValue)> = Vec::new();
         for (k, &v) in &self.counters {
@@ -498,44 +446,5 @@ mod tests {
         m.inc("x", 2);
         m.inc("x", 5);
         assert_eq!(m.snapshot().counter("x"), Some(7));
-    }
-
-    #[test]
-    fn reset_reuse_matches_fresh_registry() {
-        let mut reused = Metrics::new();
-        // Dirty the registry with series a later run will not touch.
-        reused.inc("stale.counter", 9);
-        reused.set_gauge("stale.gauge", 4.5);
-        reused.observe("stale.hist", 1 << 20);
-        reused.observe("h", 3);
-
-        reused.reset();
-        reused.inc("bits.total", 64);
-        reused.observe("h", 500);
-
-        let mut fresh = Metrics::new();
-        fresh.inc("bits.total", 64);
-        fresh.observe("h", 500);
-
-        assert_eq!(reused.snapshot(), fresh.snapshot());
-        assert_eq!(reused.snapshot().to_json(), fresh.snapshot().to_json());
-    }
-
-    #[test]
-    fn histogram_reset_hides_old_buckets() {
-        let mut h = Histogram::new();
-        h.observe(7);
-        h.observe(1 << 30);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.buckets().count(), 0, "zeroed buckets stay invisible");
-        h.observe(2);
-        let fresh = {
-            let mut f = Histogram::new();
-            f.observe(2);
-            f
-        };
-        assert_eq!(h, fresh);
-        assert_eq!(h.to_json(), fresh.to_json());
     }
 }

@@ -81,7 +81,7 @@ use crate::reliable::{run_reliable_impl, ReliableConfig};
 use crate::stats::RunStats;
 use graphlib::Graph;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Unified result of any [`Simulation`] run: per-node decisions, exact
 /// traffic stats, the fault report, the degradation verdict, and the
@@ -401,45 +401,33 @@ impl SimConfig {
         }
     }
 
-    /// Snapshots the run's metrics into `outcome` — into `scratch` (the
-    /// [`Prepared`] reset-in-place path: bucket storage is reused across a
-    /// batch) when given, into a fresh registry otherwise. Both produce
-    /// identical snapshots (see [`Metrics::reset`]).
-    fn finish(&self, mut outcome: Outcome, scratch: Option<&Mutex<Metrics>>) -> Outcome {
-        let populate = |m: &mut Metrics| {
-            m.record_run(&outcome.stats, &outcome.faults);
-            if let Some(p) = &self.profiler {
-                p.install_into(m);
+    /// Snapshots the run's metrics into `outcome`, from a fresh registry.
+    fn finish(&self, mut outcome: Outcome) -> Outcome {
+        let mut m = Metrics::from_run(&outcome.stats, &outcome.faults);
+        if let Some(p) = &self.profiler {
+            p.install_into(&mut m);
+        }
+        // Surface collector capacity overflow (bounded `JsonlTrace`
+        // truncation) — present only when non-zero, so untruncated runs
+        // keep their exact metric set.
+        if let Some(c) = &self.collector {
+            let d = c.dropped_events();
+            if d > 0 {
+                m.inc("trace.dropped_events", d);
             }
-            // Surface collector capacity overflow (bounded `JsonlTrace`
-            // truncation) — present only when non-zero, so untruncated
-            // runs keep their exact metric set.
-            if let Some(c) = &self.collector {
-                let d = c.dropped_events();
-                if d > 0 {
-                    m.inc("trace.dropped_events", d);
-                }
+        }
+        // Flight-recorder occupancy: cumulative over the recorder's
+        // lifetime (one recorder may span a batch of runs).
+        if let Some(f) = &self.flight {
+            m.inc("flight.sends.seen", f.sends_seen());
+            m.inc("flight.sends.sampled", f.samples_len() as u64);
+            m.inc("flight.ring.rounds", f.ring_len() as u64);
+            let rd = f.ring_dropped_events();
+            if rd > 0 {
+                m.inc("flight.ring.dropped_events", rd);
             }
-            // Flight-recorder occupancy: cumulative over the recorder's
-            // lifetime (one recorder may span a batch of runs).
-            if let Some(f) = &self.flight {
-                m.inc("flight.sends.seen", f.sends_seen());
-                m.inc("flight.sends.sampled", f.samples_len() as u64);
-                m.inc("flight.ring.rounds", f.ring_len() as u64);
-                let rd = f.ring_dropped_events();
-                if rd > 0 {
-                    m.inc("flight.ring.dropped_events", rd);
-                }
-            }
-            m.snapshot()
-        };
-        outcome.metrics = match scratch {
-            Some(lock) => {
-                let mut m = lock.lock().unwrap_or_else(|e| e.into_inner());
-                populate(&mut m)
-            }
-            None => populate(&mut Metrics::new()),
-        };
+        }
+        outcome.metrics = m.snapshot();
         // Black-box behavior: a degraded run (round budget exhausted,
         // transport give-ups, crashes) dumps the flight record.
         if outcome.degraded.is_some() {
@@ -454,7 +442,6 @@ impl SimConfig {
         &self,
         graph: &Graph,
         plan: Option<&EnginePlan>,
-        scratch: Option<&Mutex<Metrics>>,
         make: F,
     ) -> Result<(Outcome, Vec<A>), SimError>
     where
@@ -489,20 +476,21 @@ impl SimConfig {
                 return Err(e);
             }
         };
-        Ok((self.finish(outcome, scratch), nodes))
+        Ok((self.finish(outcome), nodes))
     }
 
     fn run_clique_impl<A, F>(
         &self,
         graph: &Graph,
-        scratch: Option<&Mutex<Metrics>>,
         make: F,
     ) -> Result<CliqueRun<A::Output>, SimError>
     where
         A: CliqueAlgorithm,
         F: Fn(usize) -> A + Sync,
     {
-        if !matches!(self.faults, FaultSpec::None) {
+        // The CONGEST engine's own test: a plan with no delivery layer and
+        // no crash is never consulted.
+        if !self.faults.compile(graph, self.seed).is_empty() {
             return Err(SimError::Unsupported(
                 "fault injection on the clique engine".into(),
             ));
@@ -528,7 +516,7 @@ impl SimConfig {
             ));
         }
         let mut run = CliqueEngine::new(graph, self, self.combined_collector()).run(make)?;
-        run.outcome = self.finish(run.outcome, scratch);
+        run.outcome = self.finish(run.outcome);
         Ok(run)
     }
 }
@@ -685,8 +673,8 @@ impl<'g> Simulation<'g> {
     }
 
     /// Stages the topology for batched reuse: the graph behind an `Arc`,
-    /// the engine's shard layout and reverse-port routing table built once,
-    /// and a reusable metrics registry. The returned [`Prepared`] handle is
+    /// and the engine's shard layout and reverse-port routing table built
+    /// once. The returned [`Prepared`] handle is
     /// cheap to clone and replays the staged state across any number of
     /// runs with per-run [`Overrides`]. See the module docs.
     pub fn prepare(&self) -> Prepared {
@@ -697,7 +685,6 @@ impl<'g> Simulation<'g> {
                 graph,
                 plan,
                 cfg: self.cfg.clone(),
-                scratch: Mutex::new(Metrics::new()),
             }),
         }
     }
@@ -723,7 +710,7 @@ impl<'g> Simulation<'g> {
         F: Fn(usize) -> A + Sync,
     {
         self.cfg
-            .run_with_nodes_impl(self.graph.get(), None, None, make)
+            .run_with_nodes_impl(self.graph.get(), None, make)
             .map(|(outcome, nodes)| (RunResult::Congest(outcome), nodes))
     }
 
@@ -737,7 +724,7 @@ impl<'g> Simulation<'g> {
         F: Fn(usize) -> A + Sync,
     {
         self.cfg
-            .run_clique_impl(self.graph.get(), None, make)
+            .run_clique_impl(self.graph.get(), make)
             .map(RunResult::Clique)
     }
 }
@@ -788,9 +775,6 @@ struct PreparedInner {
     graph: Arc<Graph>,
     plan: EnginePlan,
     cfg: SimConfig,
-    /// Reset-in-place metrics registry: batched runs reuse its histogram
-    /// storage instead of reallocating one registry per run.
-    scratch: Mutex<Metrics>,
 }
 
 /// A staged, `Arc`-reusable topology: built once by [`Simulation::prepare`],
@@ -869,12 +853,7 @@ impl Prepared {
         F: Fn(usize) -> A + Sync,
     {
         self.effective(ovr)
-            .run_with_nodes_impl(
-                &self.inner.graph,
-                Some(&self.inner.plan),
-                Some(&self.inner.scratch),
-                make,
-            )
+            .run_with_nodes_impl(&self.inner.graph, Some(&self.inner.plan), make)
             .map(|(outcome, nodes)| (RunResult::Congest(outcome), nodes))
     }
 
@@ -890,7 +869,7 @@ impl Prepared {
         F: Fn(usize) -> A + Sync,
     {
         self.effective(ovr)
-            .run_clique_impl(&self.inner.graph, Some(&self.inner.scratch), make)
+            .run_clique_impl(&self.inner.graph, make)
             .map(RunResult::Clique)
     }
 }
@@ -1126,6 +1105,46 @@ mod tests {
     }
 
     #[test]
+    fn clique_accepts_a_fault_free_stack() {
+        // A stack of `None` layers compiles to an empty plan, the same test
+        // the CONGEST engine uses to skip adjudication, so the clique
+        // engine runs it exactly like the plain fault-free spec.
+        let g = graphlib::generators::cycle(4);
+        let run = |spec: FaultSpec| {
+            let out = Simulation::on(&g)
+                .bandwidth(Bandwidth::Bits(32))
+                .faults(spec)
+                .run_clique(|_| DegreeReport {
+                    acc: 0,
+                    done: false,
+                })
+                .unwrap()
+                .into_clique();
+            format!("{:?} {:?}", out.outputs, out.outcome)
+        };
+        let plain = run(FaultSpec::None);
+        assert_eq!(run(FaultSpec::Stack(vec![FaultSpec::None])), plain);
+        assert_eq!(
+            run(FaultSpec::Stack(vec![
+                FaultSpec::None,
+                FaultSpec::Stack(vec![FaultSpec::None])
+            ])),
+            plain
+        );
+        let crash = Simulation::on(&g)
+            .faults(FaultSpec::Stack(vec![
+                FaultSpec::None,
+                FaultSpec::CrashStop(crate::faults::CrashStop::at(vec![(0, 1)])),
+            ]))
+            .run_clique(|_| DegreeReport {
+                acc: 0,
+                done: false,
+            })
+            .unwrap_err();
+        assert!(matches!(crash, SimError::Unsupported(_)), "{crash}");
+    }
+
+    #[test]
     fn reliable_under_broadcast_only_is_unsupported() {
         let g = graphlib::generators::path(3);
         let err = Simulation::on(&g)
@@ -1219,6 +1238,25 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn prepared_runs_debug_dump_like_one_shot_runs() {
+        // A faulty run first leaves histogram buckets (dropped deliveries
+        // per round) that the clean run after it never fills; the clean
+        // run's whole outcome must still print exactly like a one-shot
+        // run's.
+        let g = graphlib::generators::cycle(8);
+        let prepared = Simulation::on(&g).bandwidth(Bandwidth::Bits(64)).prepare();
+        let lossy = Overrides::new().faults(FaultSpec::IndependentLoss(0.5));
+        prepared.run_with(&lossy, |_| beacon()).unwrap();
+        let staged = prepared.run_seed(3, |_| beacon()).unwrap();
+        let fresh = Simulation::on(&g)
+            .bandwidth(Bandwidth::Bits(64))
+            .seed(3)
+            .run(|_| beacon())
+            .unwrap();
+        assert_eq!(format!("{staged:?}"), format!("{fresh:?}"));
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! Property tests of [`FaultStack`] composition semantics.
+//! Property tests of [`FaultSpec::Stack`] composition semantics, over
+//! the compiled [`Faults`] plan.
 //!
 //! The stack contract is *order-sensitive first-fault-wins*: for every
 //! delivery the layers are consulted in stack order and the first
 //! non-`Deliver` verdict is final (so a drop in an early layer shadows a
 //! corruption in a later one), and a node is crashed iff any layer crashes
-//! it. These properties pin that contract against a manual fold over
-//! independently built layers, driven through identical `reset`/
-//! `begin_round` sequences so stateful models (Gilbert–Elliott chains)
-//! stay in lockstep. Everything here is a pure function of the engine
-//! seed, so the suite must pass bit-identically at any
-//! `RAYON_NUM_THREADS` — `scripts/check.sh` runs it at 1 and 4.
+//! it. These properties pin that contract: the plan compiled from a stack
+//! is checked against a manual fold over its layers compiled one by one,
+//! all driven through identical `begin_round` sequences so stateful layers
+//! (Gilbert–Elliott chains) stay in lockstep. Everything here is a pure
+//! function of the engine seed, so the suite must pass bit-identically at
+//! any `RAYON_NUM_THREADS` — `scripts/check.sh` runs it at 1 and 4.
 
-use congest::{
-    CrashStop, Delivery, DeliveryCtx, FaultModel, FaultSpec, LinkFailure, NoFaults, Outage,
-};
+use congest::{CrashStop, Delivery, DeliveryCtx, FaultSpec, Faults, LinkFailure, Outage};
 use graphlib::generators;
 use proptest::prelude::*;
 
@@ -36,21 +35,17 @@ fn menu(idx: usize) -> FaultSpec {
     }
 }
 
-/// Builds each layer of `specs` separately and the stacked model over all
-/// of them, then drives every model through the same `reset` +
+/// Compiles each layer of `specs` separately and the stacked plan over all
+/// of them, then drives every plan through the same
 /// `begin_round(1..=rounds)` schedule so their internal chains agree.
 fn build_in_lockstep(
     specs: &[FaultSpec],
     g: &graphlib::Graph,
     seed: u64,
     rounds: usize,
-) -> (Box<dyn FaultModel>, Vec<Box<dyn FaultModel>>) {
-    let mut stack = FaultSpec::Stack(specs.to_vec()).build();
-    stack.reset(g, seed);
-    let mut layers: Vec<Box<dyn FaultModel>> = specs.iter().map(FaultSpec::build).collect();
-    for l in &mut layers {
-        l.reset(g, seed);
-    }
+) -> (Faults, Vec<Faults>) {
+    let mut stack = FaultSpec::Stack(specs.to_vec()).compile(g, seed);
+    let mut layers: Vec<Faults> = specs.iter().map(|s| s.compile(g, seed)).collect();
     for r in 1..=rounds {
         stack.begin_round(r);
         for l in &mut layers {
@@ -62,7 +57,7 @@ fn build_in_lockstep(
 
 /// The reference semantics: fold the layers in order, first non-`Deliver`
 /// verdict wins.
-fn manual_first_fault(layers: &[Box<dyn FaultModel>], ctx: &DeliveryCtx) -> Delivery {
+fn manual_first_fault(layers: &[Faults], ctx: &DeliveryCtx) -> Delivery {
     for l in layers {
         match l.delivery(ctx) {
             Delivery::Deliver => continue,
@@ -72,21 +67,24 @@ fn manual_first_fault(layers: &[Box<dyn FaultModel>], ctx: &DeliveryCtx) -> Deli
     Delivery::Deliver
 }
 
+/// Whether `node` is down in `round` under plan `f`.
+fn crashed(f: &Faults, node: usize, round: usize) -> bool {
+    f.crash_round(node).is_some_and(|r| round >= r)
+}
+
 /// Every delivery context over the clique's directed edges in `round`.
-fn contexts(n: usize, round: usize, seed: u64) -> Vec<DeliveryCtx> {
+fn contexts(n: usize, round: usize) -> Vec<DeliveryCtx> {
     let mut out = Vec::new();
     let mut slot = 0usize;
     for from in 0..n {
         for (port, to) in (0..n).filter(|&v| v != from).enumerate() {
             out.push(DeliveryCtx {
-                seed,
                 round,
                 from,
                 to,
                 to_port: port,
                 link_slot: slot,
                 msg_index: 0,
-                bits: 16,
             });
             slot += 1;
         }
@@ -108,7 +106,7 @@ proptest! {
         let g = generators::clique(6);
         let specs: Vec<FaultSpec> = picks.iter().map(|&i| menu(i)).collect();
         let (stack, layers) = build_in_lockstep(&specs, &g, seed, rounds);
-        for ctx in contexts(g.n(), rounds, seed) {
+        for ctx in contexts(g.n(), rounds) {
             prop_assert_eq!(
                 stack.delivery(&ctx),
                 manual_first_fault(&layers, &ctx),
@@ -118,14 +116,21 @@ proptest! {
             );
         }
         // Crash semantics: any layer crashing the node crashes it in the
-        // stack, in every round up to the horizon.
+        // stack, in every round up to the horizon, and the stack's
+        // per-round crash list names exactly the nodes going down then.
         for v in 0..g.n() {
             for r in 1..=rounds {
                 prop_assert_eq!(
-                    stack.crashed(v, r, seed),
-                    layers.iter().any(|l| l.crashed(v, r, seed))
+                    crashed(&stack, v, r),
+                    layers.iter().any(|l| crashed(l, v, r))
                 );
             }
+        }
+        for r in 1..=rounds {
+            let going_down: Vec<usize> = (0..g.n())
+                .filter(|&v| crashed(&stack, v, r) && !crashed(&stack, v, r - 1))
+                .collect();
+            prop_assert_eq!(stack.crashes(r).collect::<Vec<_>>(), going_down);
         }
     }
 
@@ -140,11 +145,11 @@ proptest! {
         let specs: Vec<FaultSpec> = picks.iter().map(|&i| menu(i)).collect();
         let (a, _) = build_in_lockstep(&specs, &g, seed, 3);
         let (b, _) = build_in_lockstep(&specs, &g, seed, 3);
-        for ctx in contexts(g.n(), 3, seed) {
+        for ctx in contexts(g.n(), 3) {
             prop_assert_eq!(a.delivery(&ctx), b.delivery(&ctx));
         }
         for v in 0..g.n() {
-            prop_assert_eq!(a.crashed(v, 3, seed), b.crashed(v, 3, seed));
+            prop_assert_eq!(crashed(&a, v, 3), crashed(&b, v, 3));
         }
     }
 }
@@ -159,7 +164,7 @@ fn stack_order_is_observable() {
     let flip_first = [FaultSpec::BitFlip(1.0), FaultSpec::IndependentLoss(1.0)];
     let (df, _) = build_in_lockstep(&drop_first, &g, 7, 1);
     let (ff, _) = build_in_lockstep(&flip_first, &g, 7, 1);
-    for ctx in contexts(g.n(), 1, 7) {
+    for ctx in contexts(g.n(), 1) {
         assert_eq!(df.delivery(&ctx), Delivery::Drop);
         assert!(matches!(ff.delivery(&ctx), Delivery::Corrupt(_)));
     }
@@ -167,7 +172,7 @@ fn stack_order_is_observable() {
 
 #[test]
 fn inert_layers_never_mask_or_add_faults() {
-    // NoFaults layers anywhere in the stack are transparent.
+    // `None` layers anywhere in the stack are transparent.
     let g = generators::clique(5);
     let bare = [FaultSpec::IndependentLoss(0.5)];
     let padded = [
@@ -177,15 +182,14 @@ fn inert_layers_never_mask_or_add_faults() {
     ];
     let (b, _) = build_in_lockstep(&bare, &g, 42, 2);
     let (p, _) = build_in_lockstep(&padded, &g, 42, 2);
-    for ctx in contexts(g.n(), 2, 42) {
+    for ctx in contexts(g.n(), 2) {
         assert_eq!(b.delivery(&ctx), p.delivery(&ctx));
     }
     // And a stack of only inert layers delivers everything.
-    let mut all_clear = FaultSpec::Stack(vec![FaultSpec::None, FaultSpec::None]).build();
-    all_clear.reset(&g, 1);
+    let all_clear = FaultSpec::Stack(vec![FaultSpec::None, FaultSpec::None]).compile(&g, 1);
     assert!(FaultSpec::Stack(vec![FaultSpec::None, FaultSpec::None]).is_none());
-    for ctx in contexts(g.n(), 1, 1) {
+    assert!(all_clear.is_empty());
+    for ctx in contexts(g.n(), 1) {
         assert_eq!(all_clear.delivery(&ctx), Delivery::Deliver);
     }
-    let _ = NoFaults; // the inert model is part of the public surface
 }

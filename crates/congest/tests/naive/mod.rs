@@ -1,21 +1,22 @@
 //! The naive CONGEST round: the referee for the sharded engine.
 //!
 //! One sequential loop per round, written from the model's definition and
-//! the public API alone (`FaultSpec::build`, `FaultModel`, `DeliveryCtx`,
+//! the public API alone (`FaultSpec::compile`, `Faults`, `DeliveryCtx`,
 //! `Graph`, `NodeAlgorithm`); it shares no code with the engine. Each
 //! round it
 //!
-//! 1. begins the round on the fault model and applies its crashes (a node
-//!    crashing in round `r` loses the outbox it would send in `r`);
+//! 1. begins the round on the fault plan and crashes every live node whose
+//!    crash round has come (a node crashing in round `r` loses the outbox
+//!    it would send in `r`);
 //! 2. numbers every outbox entry in node order (a broadcast gets one id);
 //! 3. charges bits per sender, emitting `Send` events in outbox order and
 //!    settling the bandwidth bound in port order, and stops at the first
 //!    error (invalid port, forbidden unicast, bandwidth exceeded);
 //! 4. builds each receiver's inbox by rescanning every neighbor's whole
 //!    outbox — port ascending, sender outbox order within a port — and
-//!    asks the fault model about each delivery (a crashed receiver loses
-//!    everything without asking the model, and each lost delivery is a
-//!    `Drop` event like any other);
+//!    asks the fault plan about each delivery, even when the plan is empty
+//!    (a crashed receiver loses everything without asking the plan, and
+//!    each lost delivery is a `Drop` event like any other);
 //! 5. steps every live node, lending it references into its inbox.
 //!
 //! Everything is recomputed from scratch every round: no arenas, no
@@ -112,8 +113,7 @@ where
         })
         .collect();
     let mut nodes: Vec<A> = (0..n).map(make).collect();
-    let mut model = cfg.faults.build();
-    model.reset(g, seed);
+    let mut faults = cfg.faults.compile(g, seed);
 
     events.push(SimEvent::Meta {
         n,
@@ -143,9 +143,9 @@ where
         events.push(SimEvent::RoundStart { round });
 
         // 1. Crashes.
-        model.begin_round(round);
+        faults.begin_round(round);
         for v in 0..n {
-            if !crashed[v] && model.crashed(v, round, seed) {
+            if !crashed[v] && faults.crash_round(v).is_some_and(|r| round >= r) {
                 crashed[v] = true;
                 outboxes[v].clear();
                 t.crashed.push((v, round));
@@ -239,23 +239,21 @@ where
                         Outgoing::Unicast(..) => continue,
                     };
                     let ctx = DeliveryCtx {
-                        seed,
                         round,
                         from: u,
                         to: v,
                         to_port: p,
                         link_slot: first_slot[u] + their_port,
                         msg_index: idx,
-                        bits: m.bit_size(),
                     };
                     let (msg_id, from, to, port, bits) =
-                        (first_id[u] + idx as u64, u, v, p, ctx.bits);
+                        (first_id[u] + idx as u64, u, v, p, m.bit_size());
                     // A crashed receiver loses the delivery without the
-                    // model being asked.
+                    // plan being asked.
                     let fate = if crashed[v] {
                         Delivery::Drop
                     } else {
-                        model.delivery(&ctx)
+                        faults.delivery(&ctx)
                     };
                     let (event, payload) = match fate {
                         Delivery::Deliver => (

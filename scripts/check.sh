@@ -169,6 +169,21 @@ else
     echo "    borrowed inboxes only (no Arc payload type)"
 fi
 
+# One fault type: a run's faults are a FaultSpec, compiled per run into
+# one concrete Faults plan. The open FaultModel trait with its boxed
+# models (NoFaults, FaultStack, the IndependentLoss, GilbertElliott and
+# BitFlip structs) and FaultSpec::build are gone and must stay gone.
+echo "==> checking the removed fault-model trait objects are absent"
+faultmodels='FaultModel|FaultStack|NoFaults|FaultSpec::build|IndependentLoss::new|GilbertElliott::new|BitFlip::new'
+if grep -rnE "$faultmodels" src tests examples crates \
+    --exclude-dir=target 2>/dev/null; then
+    echo "error: a removed fault-model trait object reappeared; describe" \
+         "faults with FaultSpec and adjudicate with its compiled Faults plan" >&2
+    status=1
+else
+    echo "    one fault type (FaultSpec, compiled per run into a Faults plan)"
+fi
+
 # The CSR routing arena replaced the per-receiver scan of a per-node wire
 # list; no non-test code may reintroduce that pattern.
 echo "==> checking for the removed per-receiver wire-scan pattern"
@@ -257,9 +272,9 @@ fi
 echo "==> u32 id-space overflow gate"
 cargo test -q -p graphlib try_new_rejects_oversized_vertex_counts
 
-# FaultStack composition is order-sensitive first-fault-wins and a pure
-# function of (spec, seed); the property suite must hold on sequential and
-# parallel schedules alike.
+# FaultSpec::Stack composition is order-sensitive first-fault-wins and a
+# pure function of (spec, seed); the property suite must hold on
+# sequential and parallel schedules alike.
 echo "==> fault-stack composition property test (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q -p congest --test fault_stack
 
